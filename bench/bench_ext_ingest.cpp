@@ -13,7 +13,7 @@
 //
 //   ingest child   N timed iterations of {streaming TSV parse -> records;
 //                  LogJoiner + CorpusIndex fold} — the per-row hot path,
-//                  exactly as run_text_serial wires it: a DnPool attached to
+//                  exactly as a one-worker run_text wires it: a DnPool on
 //                  both readers and the joiner, so DNs are canonicalized
 //                  once at intern time and the join works over interned ids.
 //                  Headline rows/sec and peak RSS come from here.
@@ -258,8 +258,8 @@ int main(int argc, char** argv) {
       core::DnPool pool;
       std::vector<zeek::SslLogRecord> ssl;
       std::vector<zeek::X509LogRecord> x509;
-      // Mirror run_text_serial: reserve from the newline count so the record
-      // vectors never double through ~2x the needed footprint.
+      // Mirror a one-worker run_text: reserve from the newline count so the
+      // record vectors never double through ~2x the needed footprint.
       ssl.reserve(static_cast<std::size_t>(
           std::count(ssl_text.begin(), ssl_text.end(), '\n')));
       x509.reserve(static_cast<std::size_t>(

@@ -1,5 +1,6 @@
 #include "chain/linter.hpp"
 
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -161,9 +162,8 @@ std::vector<LintReport> lint_chains(
     const std::vector<const CertificateChain*>& chains,
     const LintOptions& options, par::ThreadPool* pool) {
   std::vector<LintReport> reports(chains.size());
-  const std::size_t chunks = pool == nullptr ? 1 : pool->size();
   par::parallel_for_chunks(
-      pool, chains.size(), chunks,
+      pool, chains.size(), par::chunk_count(pool),
       [&reports, &chains, &options](std::size_t, std::size_t begin,
                                     std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -180,14 +180,8 @@ std::vector<LintReport> lint_chains(
   std::optional<obs::StageTimer> timer;
   if (obs != nullptr) timer.emplace(*obs, "lint");
 
-  std::vector<LintReport> reports;
-  const std::size_t threads = par::resolve_threads(exec.threads);
-  if (threads <= 1) {
-    reports = lint_chains(chains, options);
-  } else {
-    par::ThreadPool pool(threads);
-    reports = lint_chains(chains, options, &pool);
-  }
+  const std::unique_ptr<par::ThreadPool> pool = par::make_pool(exec.threads);
+  std::vector<LintReport> reports = lint_chains(chains, options, pool.get());
   if (obs != nullptr) {
     std::size_t findings = 0;
     for (const LintReport& report : reports) findings += report.findings.size();

@@ -87,16 +87,17 @@ struct LintOptions {
 LintReport lint_chain(const CertificateChain& chain, const LintOptions& options = {});
 
 /// Lints a batch of chains into index-aligned reports. Each lint is an
-/// independent pure computation, so with a pool the chains are spread across
-/// its workers — the result vector is identical to the serial loop either
-/// way (a null or single-worker pool runs inline).
+/// independent pure computation, so the chains split into one chunk per
+/// `pool` worker (one chunk, inline, when `pool` is null) — the result
+/// vector is identical at every worker count.
 std::vector<LintReport> lint_chains(
     const std::vector<const CertificateChain*>& chains,
     const LintOptions& options = {}, par::ThreadPool* pool = nullptr);
 
 /// Uniform `(input, options, obs)` entry (DESIGN.md §11), taking the
 /// layer-neutral par::ExecOptions (core::RunOptions::exec() projects to it):
-/// resolves exec.threads to the serial loop or a pool, and — when `obs` is
+/// builds a pool only when exec.threads resolves to more than one worker,
+/// and — when `obs` is
 /// given — wraps the batch in a `lint` stage span with chains-in/findings
 /// counters. The result vector is identical at every thread count.
 std::vector<LintReport> lint_chains(

@@ -1,5 +1,6 @@
 #include "core/cert_stats.hpp"
 
+#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
@@ -14,8 +15,8 @@ namespace {
 
 /// Folds one distinct certificate into the statistics. `last_seen` is the
 /// last-seen time of the observation that introduced the certificate —
-/// serial scan order decides which observation that is, and the parallel
-/// overload reproduces that choice exactly.
+/// whole-range scan order decides which observation that is, and the chunked
+/// scan reproduces that choice exactly.
 void accumulate_certificate(CertPopulationStats& stats,
                             const x509::Certificate& cert,
                             util::SimTime last_seen) {
@@ -53,63 +54,51 @@ void accumulate_certificate(CertPopulationStats& stats,
 
 CertPopulationStats compute_cert_stats(
     std::string label, const std::vector<const ChainObservation*>& chains,
-    std::size_t max_length) {
-  CertPopulationStats stats;
-  stats.label = std::move(label);
-
-  std::set<std::string> seen;
-  for (const ChainObservation* observation : chains) {
-    if (observation->chain.length() > max_length) continue;
-    for (const x509::Certificate& cert : observation->chain) {
-      if (!seen.insert(cert.fingerprint()).second) continue;
-      accumulate_certificate(stats, cert, observation->last_seen);
-    }
-  }
-  return stats;
-}
-
-CertPopulationStats compute_cert_stats(
-    std::string label, const std::vector<const ChainObservation*>& chains,
     std::size_t max_length, par::ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1) {
-    return compute_cert_stats(std::move(label), chains, max_length);
-  }
-
-  // Phase 1 (parallel): each shard scans a consecutive chain range and keeps
-  // the first occurrence of every fingerprint it sees, in scan order. The
-  // fingerprint hashing — the expensive part — happens here.
+  // Each chunk scans a consecutive chain range and keeps the first occurrence
+  // of every fingerprint it sees, in scan order. The fingerprint hashing —
+  // the expensive part — happens here.
   struct Candidate {
-    std::string fingerprint;
+    const std::string* fingerprint = nullptr;  // node of the chunk's `seen`
     const x509::Certificate* cert = nullptr;
     util::SimTime last_seen = 0;
   };
-  const std::size_t shard_count = pool->size();
-  std::vector<std::vector<Candidate>> shard_candidates(shard_count);
+  struct ChunkScan {
+    std::set<std::string> seen;
+    std::vector<Candidate> candidates;
+  };
+  const std::size_t chunks = par::chunk_count(pool);
+  std::vector<ChunkScan> scans(chunks);
   par::parallel_for_chunks(
-      pool, chains.size(), shard_count,
-      [&shard_candidates, &chains, max_length](
-          std::size_t chunk, std::size_t begin, std::size_t end) {
-        std::set<std::string> local_seen;
+      pool, chains.size(), chunks,
+      [&scans, &chains, max_length](std::size_t chunk, std::size_t begin,
+                                    std::size_t end) {
+        ChunkScan& scan = scans[chunk];
         for (std::size_t i = begin; i < end; ++i) {
           const ChainObservation* observation = chains[i];
           if (observation->chain.length() > max_length) continue;
           for (const x509::Certificate& cert : observation->chain) {
-            std::string fingerprint = cert.fingerprint();
-            if (!local_seen.insert(fingerprint).second) continue;
-            shard_candidates[chunk].push_back(Candidate{
-                std::move(fingerprint), &cert, observation->last_seen});
+            const auto [it, inserted] = scan.seen.insert(cert.fingerprint());
+            if (!inserted) continue;
+            scan.candidates.push_back(
+                Candidate{&*it, &cert, observation->last_seen});
           }
         }
       });
 
-  // Phase 2 (serial, shard order): global dedupe + accumulation. Walking the
-  // shards in order visits first occurrences in exactly serial scan order.
+  // Global dedupe + accumulation in chunk order, which visits first
+  // occurrences in exactly whole-range scan order. Chunk 0's first
+  // occurrences are global ones, so its set seeds the global one; later
+  // chunks' candidates count only when new.
   CertPopulationStats stats;
   stats.label = std::move(label);
-  std::set<std::string> seen;
-  for (std::vector<Candidate>& candidates : shard_candidates) {
-    for (Candidate& candidate : candidates) {
-      if (!seen.insert(std::move(candidate.fingerprint)).second) continue;
+  std::set<std::string> seen = std::move(scans[0].seen);
+  for (const Candidate& candidate : scans[0].candidates) {
+    accumulate_certificate(stats, *candidate.cert, candidate.last_seen);
+  }
+  for (std::size_t i = 1; i < chunks; ++i) {
+    for (const Candidate& candidate : scans[i].candidates) {
+      if (!seen.insert(*candidate.fingerprint).second) continue;
       accumulate_certificate(stats, *candidate.cert, candidate.last_seen);
     }
   }
@@ -122,14 +111,9 @@ CertPopulationStats compute_cert_stats(
   std::optional<obs::StageTimer> timer;
   if (obs != nullptr) timer.emplace(*obs, "cert_stats");
 
-  CertPopulationStats stats;
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) {
-    stats = compute_cert_stats(std::move(label), chains, max_length);
-  } else {
-    par::ThreadPool pool(threads);
-    stats = compute_cert_stats(std::move(label), chains, max_length, &pool);
-  }
+  const std::unique_ptr<par::ThreadPool> pool = par::make_pool(options.threads);
+  CertPopulationStats stats =
+      compute_cert_stats(std::move(label), chains, max_length, pool.get());
   if (obs != nullptr) {
     obs->metrics.count("cert_stats.chains_in", chains.size());
     obs->metrics.count("cert_stats.distinct_certificates",

@@ -52,23 +52,18 @@ struct CertPopulationStats {
 
 /// Computes the statistics over the distinct certificates of the given
 /// chains (deduplicated by fingerprint). Chains longer than `max_length`
-/// are skipped (the Figure 1 outlier rule).
+/// are skipped (the Figure 1 outlier rule). The first-occurrence scans run
+/// over one chunk of consecutive chains per `pool` worker (one chunk,
+/// inline, when `pool` is null), then a chunk-order pass applies the global
+/// fingerprint dedupe and accumulates — so each certificate is attributed to
+/// exactly the observation a single scan would pick (expiry-at-observation
+/// depends on it), and the output is identical at every worker count.
 CertPopulationStats compute_cert_stats(
     std::string label, const std::vector<const ChainObservation*>& chains,
-    std::size_t max_length = 30);
+    std::size_t max_length = 30, par::ThreadPool* pool = nullptr);
 
-/// Sharded variant: per-shard first-occurrence scans run on the pool, then a
-/// serial shard-order pass applies the global fingerprint dedupe and
-/// accumulates — so each certificate is attributed to exactly the
-/// observation the serial scan would have picked (expiry-at-observation
-/// depends on it). Output is identical to the serial overload; a null or
-/// single-worker pool falls back to it.
-CertPopulationStats compute_cert_stats(
-    std::string label, const std::vector<const ChainObservation*>& chains,
-    std::size_t max_length, par::ThreadPool* pool);
-
-/// Uniform `(input, options, obs)` entry (DESIGN.md §11): resolves
-/// options.threads to the serial or sharded overload and — when `obs` is
+/// Uniform `(input, options, obs)` entry (DESIGN.md §11): builds a pool only
+/// when options.threads resolves to more than one worker and — when `obs` is
 /// given — wraps the scan in a `cert_stats` stage span with chains-in /
 /// distinct-certificate counters. Output is identical at every thread count.
 CertPopulationStats compute_cert_stats(

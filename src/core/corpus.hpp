@@ -93,7 +93,7 @@ class CorpusIndex {
   /// Folds another index in, destructively. Every per-chain and corpus-wide
   /// field is an order-independent reduction (sums, set unions, min/max over
   /// timestamps), so merging shard-local indexes — in any order — yields
-  /// exactly the index a serial pass over the concatenated connections would
+  /// exactly the index a single pass over the concatenated connections would
   /// have built; certificates seen by several shards are deduplicated here.
   /// The parallel-diff suite asserts this equivalence end to end.
   void merge_from(CorpusIndex&& other);

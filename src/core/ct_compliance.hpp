@@ -13,9 +13,9 @@
 //   self-contained           self-signed leaf (its own trust anchor)
 //
 // The fold is a pure per-chain reduction (every counter is additive), so the
-// sharded parallel pipeline folds per-shard reports and merges them in shard
-// order — byte-identical to the serial fold, as the parallel/streaming/serve
-// differential suites assert.
+// pipeline folds one report per chunk of unique chains and merges them in
+// chunk order — byte-identical at every thread count, as the parallel/
+// streaming/serve differential suites assert.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ struct CtComplianceReport {
            self_contained.ct_logged;
   }
 
-  /// Shard-order merge for the parallel fold (all counters additive).
+  /// Chunk-order merge for the chunked fold (all counters additive).
   void merge_from(const CtComplianceReport& other);
 };
 
@@ -60,12 +60,10 @@ class CtComplianceAnalyzer {
                        const ct::CtLogSet& ct_logs)
       : stores_(&stores), ct_logs_(&ct_logs) {}
 
-  /// Folds one unique-chain observation into `into`.
+  /// Folds one unique-chain observation into `into`. The pipeline folds
+  /// one report per chunk of unique chains and merges them with
+  /// CtComplianceReport::merge_from (the result is order-independent).
   void add(const ChainObservation& observation, CtComplianceReport& into) const;
-
-  /// Serial fold over the whole corpus (map order; the result is
-  /// order-independent anyway).
-  CtComplianceReport analyze(const CorpusIndex& corpus) const;
 
  private:
   const truststore::TrustStoreSet* stores_;

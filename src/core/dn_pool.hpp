@@ -16,10 +16,11 @@
 //   intern(name)   an already-parsed DistinguishedName, keyed by its
 //                  canonical form.
 //
-// Ids are pool-local. The sharded parallel engine gives each shard its own
-// pool and merges them with absorb(), which returns an old-id -> new-id map
-// the merge loop applies to the shard's records — the id-remap merge
-// protocol that keeps parallel runs byte-identical to serial ones.
+// Ids are pool-local. The chunked text ingest lets shard 0 intern into the
+// run's pool and gives every later shard its own pool, merged with absorb(),
+// which returns an old-id -> new-id map the merge loop applies to the
+// shard's records — the id-remap merge protocol that keeps every worker
+// count byte-identical to a single whole-stream reader.
 //
 // Distinct spellings that canonicalize equally ("CN=Example" vs
 // "cn=example") share one id but keep their own parsed form: name_for_raw()

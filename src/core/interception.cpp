@@ -1,6 +1,7 @@
 #include "core/interception.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 
 #include "obs/run_context.hpp"
@@ -86,15 +87,29 @@ bool InterceptionDetector::is_interception_candidate(
 
 namespace {
 
-/// Partial detection state: the per-chain fold target, usable serially (one
-/// fold over the whole corpus) or per shard with a range-order merge.
+/// Partial detection state: the per-chain fold target, one per chunk of
+/// consecutive corpus ranges, merged in range order.
 struct DetectFold {
   std::map<std::string, InterceptionFinding> findings;  // by issuer canonical
   std::set<std::string> unconfirmed_candidates;
   std::uint64_t total_connections = 0;
+
+  /// Folds a later corpus range in; call in range order so first-wins
+  /// identity fields resolve like a single pass over the whole corpus.
+  void merge_from(DetectFold&& other) {
+    for (auto& [canonical, theirs] : other.findings) {
+      const auto [it, inserted] =
+          findings.try_emplace(canonical, std::move(theirs));
+      if (inserted) continue;
+      it->second.connections += theirs.connections;
+      it->second.client_ips.merge(theirs.client_ips);
+    }
+    unconfirmed_candidates.merge(other.unconfirmed_candidates);
+    total_connections += other.total_connections;
+  }
 };
 
-/// The serial loop body: evaluates one chain observation into the fold.
+/// The chunk loop body: evaluates one chain observation into the fold.
 void fold_observation(const InterceptionDetector& detector,
                       const VendorDirectory& directory,
                       const ChainObservation& observation, DetectFold& fold) {
@@ -128,21 +143,7 @@ void fold_observation(const InterceptionDetector& detector,
   fold.total_connections += observation.connections;
 }
 
-/// Folds a later corpus range in; call in range order so first-wins identity
-/// fields resolve like the serial pass.
-void merge_fold(DetectFold& into, DetectFold&& other) {
-  for (auto& [canonical, theirs] : other.findings) {
-    const auto [it, inserted] =
-        into.findings.try_emplace(canonical, std::move(theirs));
-    if (inserted) continue;
-    it->second.connections += theirs.connections;
-    it->second.client_ips.merge(theirs.client_ips);
-  }
-  into.unconfirmed_candidates.merge(other.unconfirmed_candidates);
-  into.total_connections += other.total_connections;
-}
-
-/// Vendor expansion + the Table-1 ordering, shared by both paths.
+/// Vendor expansion + the Table-1 ordering over the merged fold.
 InterceptionReport finalize_fold(DetectFold&& fold,
                                  const VendorDirectory& directory) {
   InterceptionReport report;
@@ -173,40 +174,25 @@ InterceptionReport finalize_fold(DetectFold&& fold,
 
 }  // namespace
 
-InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus) const {
-  DetectFold fold;
-  for (const auto& [chain_id, observation] : corpus.chains()) {
-    fold_observation(*this, *directory_, observation, fold);
-  }
-  return finalize_fold(std::move(fold), *directory_);
-}
-
 InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
                                                 par::ThreadPool* pool) const {
-  if (pool == nullptr || pool->size() <= 1) return detect(corpus);
-
   std::vector<const ChainObservation*> observations;
   observations.reserve(corpus.chains().size());
   for (const auto& [chain_id, observation] : corpus.chains()) {
     observations.push_back(&observation);
   }
 
-  const std::size_t shard_count = pool->size();
-  std::vector<DetectFold> folds(shard_count);
+  const std::size_t chunks = par::chunk_count(pool);
+  std::vector<DetectFold> folds(chunks);
   par::parallel_for_chunks(
-      pool, observations.size(), shard_count,
+      pool, observations.size(), chunks,
       [this, &folds, &observations](std::size_t chunk, std::size_t begin,
                                     std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           fold_observation(*this, *directory_, *observations[i], folds[chunk]);
         }
       });
-
-  DetectFold fold;
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    merge_fold(fold, std::move(folds[i]));
-  }
-  return finalize_fold(std::move(fold), *directory_);
+  return finalize_fold(par::merge_chunks(folds), *directory_);
 }
 
 InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
@@ -215,14 +201,8 @@ InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
   std::optional<obs::StageTimer> timer;
   if (obs != nullptr) timer.emplace(*obs, "interception.detect");
 
-  InterceptionReport report;
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) {
-    report = detect(corpus);
-  } else {
-    par::ThreadPool pool(threads);
-    report = detect(corpus, &pool);
-  }
+  const std::unique_ptr<par::ThreadPool> pool = par::make_pool(options.threads);
+  InterceptionReport report = detect(corpus, pool.get());
   if (obs != nullptr) {
     obs->metrics.count("interception.detect.chains_in",
                        corpus.unique_chain_count());

@@ -90,23 +90,20 @@ class InterceptionDetector {
 
   /// Runs detection over the deduplicated corpus. Chains are flagged via
   /// their observed SNI domains; SNI-less traffic cannot be checked against
-  /// CT (Appendix B limitation, reproduced faithfully).
-  InterceptionReport detect(const CorpusIndex& corpus) const;
-
-  /// Sharded detection: the per-chain candidate test runs over consecutive
-  /// corpus ranges on the pool; the partial finding maps merge in range
-  /// order (identity fields first-wins, counts summed, client sets unioned)
-  /// before the serial vendor expansion and sort — producing exactly the
-  /// serial detect()'s report. A null or single-worker pool falls back to
-  /// the serial path.
+  /// CT (Appendix B limitation, reproduced faithfully). The per-chain
+  /// candidate test runs over one chunk of consecutive corpus ranges per
+  /// `pool` worker (one chunk, inline, when `pool` is null); the partial
+  /// finding maps merge in range order (identity fields first-wins, counts
+  /// summed, client sets unioned) before the vendor expansion and sort — so
+  /// the report is identical at every worker count.
   InterceptionReport detect(const CorpusIndex& corpus,
-                            par::ThreadPool* pool) const;
+                            par::ThreadPool* pool = nullptr) const;
 
-  /// Uniform `(input, options, obs)` entry (DESIGN.md §11): resolves
-  /// options.threads to the serial or sharded path, and — when `obs` is
-  /// given — wraps detection in an `interception.detect` stage span with
-  /// chains-in/findings counters. Output is identical to the other
-  /// overloads at every thread count.
+  /// Uniform `(input, options, obs)` entry (DESIGN.md §11): builds a pool
+  /// only when options.threads resolves to more than one worker, and — when
+  /// `obs` is given — wraps detection in an `interception.detect` stage span
+  /// with chains-in/findings counters. Output is identical to the overload
+  /// above at every thread count.
   InterceptionReport detect(const CorpusIndex& corpus, const RunOptions& options,
                             obs::RunContext* obs = nullptr) const;
 

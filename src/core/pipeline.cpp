@@ -1,19 +1,34 @@
+// The StudyPipeline analysis path (DESIGN.md §10).
+//
+// There is one execution path. Every stage splits its input into one chunk
+// per pool worker — one chunk, run inline, when the pool is null — runs the
+// chunk bodies, and reduces the per-chunk partials by one rule
+// (par::merge_chunks): the result starts as chunk 0's partial, moved in, and
+// chunks 1..N-1 merge into it in chunk order. Because each merge is either
+// order-independent (sums, set unions, min/max) or a concatenation of
+// consecutive input ranges in range order, the merged state is exactly what
+// a single chunk over the whole input produces — which is why the reports
+// come out byte-identical at every thread count, and why one worker costs no
+// merge at all. The parallel-diff suite (tests/test_parallel_diff.cpp)
+// enforces that contract for every release.
 #include "core/pipeline.hpp"
 
-#include <algorithm>
+#include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "core/pipeline_detail.hpp"
 #include "obs/run_context.hpp"
+#include "obs/stopwatch.hpp"
 #include "par/thread_pool.hpp"
 #include "truststore/issuer_classifier.hpp"
 #include "zeek/joiner.hpp"
-#include "zeek/log_stream.hpp"
 
 namespace certchain::core {
 
 using chain::ChainCategory;
+using detail::attach_shard_span;
 using detail::publish_stage;
 using detail::stage_timer;
 
@@ -27,12 +42,20 @@ std::string_view ingest_mode_name(IngestMode mode) {
 
 StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& options,
                                obs::RunContext* obs) const {
-  if (obs != nullptr) obs->set_config("input.kind", input.describe());
+  const std::unique_ptr<par::ThreadPool> pool = par::make_pool(options.threads);
+  if (obs != nullptr) {
+    obs->set_config("input.kind", input.describe());
+    if (pool != nullptr) {
+      obs->set_config("par.threads", static_cast<std::uint64_t>(pool->size()));
+    }
+  }
   switch (input.kind()) {
     case StudyInput::Kind::kRecords:
-      return run_records(input.ssl_records(), input.x509_records(), options, obs);
+      return run_records(pool.get(), input.ssl_records(), input.x509_records(),
+                         obs);
     case StudyInput::Kind::kText:
-      return run_text(input.ssl_text(), input.x509_text(), options, obs);
+      return run_text(pool.get(), input.ssl_text(), input.x509_text(),
+                      options.ingest, obs);
     case StudyInput::Kind::kSources:
     case StudyInput::Kind::kFiles: {
       const std::shared_ptr<LogSource> ssl = input.open_ssl_source();
@@ -43,59 +66,69 @@ StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& option
       if (x509 == nullptr) {
         throw IngestError("cannot open X509 log source: " + input.x509_path());
       }
-      return run_streaming(*ssl, *x509, options, obs);
+      return run_streaming(pool.get(), *ssl, *x509, options, obs);
     }
   }
   throw IngestError("unknown StudyInput kind");
 }
 
-StudyReport StudyPipeline::run_records(
-    const std::vector<zeek::SslLogRecord>& ssl,
-    const std::vector<zeek::X509LogRecord>& x509, const RunOptions& options,
-    obs::RunContext* obs) const {
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) return run_records_serial(ssl, x509, obs);
-  par::ThreadPool pool(threads);
-  if (obs != nullptr) {
-    obs->set_config("par.threads", static_cast<std::uint64_t>(pool.size()));
-  }
-  return run_on_pool(pool, ssl, x509, obs);
-}
-
-StudyReport StudyPipeline::run_records_serial(
-    const std::vector<zeek::SslLogRecord>& ssl,
-    const std::vector<zeek::X509LogRecord>& x509, obs::RunContext* obs,
-    DnPool* dn_pool) const {
+StudyReport StudyPipeline::run_records(par::ThreadPool* pool,
+                                       const std::vector<zeek::SslLogRecord>& ssl,
+                                       const std::vector<zeek::X509LogRecord>& x509,
+                                       obs::RunContext* obs,
+                                       DnPool* dn_pool) const {
   auto pipeline_timer = stage_timer(obs, "pipeline");
+  const std::size_t chunks = par::chunk_count(pool);
 
-  // Stage 0: join SSL and X509 rows and deduplicate chains. The joiner runs
-  // on the run's DnPool (the caller's, or a run-local one): each distinct DN
-  // spelling parses once, and every joined certificate is fingerprint-sealed
-  // and id-stamped before the fold sees it.
+  // Stage 0: the joiner index is built once — on the coordinator, against
+  // the run's DnPool (the caller's, or a run-local one), so the pool is
+  // complete and read-only before any chunk touches it — and shared
+  // read-only. Each distinct DN spelling parses once, and every joined
+  // certificate is fingerprint-sealed and id-stamped before the fold sees
+  // it. SSL rows fold into per-chunk corpora merged in chunk order
+  // (order-independent reductions + cross-chunk certificate dedupe inside
+  // merge_from).
   DnPool local_pool;
-  DnPool* pool = dn_pool != nullptr ? dn_pool : &local_pool;
+  DnPool* run_pool = dn_pool != nullptr ? dn_pool : &local_pool;
   zeek::LogJoiner joiner;
-  joiner.set_dn_pool(pool);
+  joiner.set_dn_pool(run_pool);
   for (const zeek::X509LogRecord& record : x509) joiner.add(record);
   CorpusIndex corpus;
   {
     auto timer = stage_timer(obs, "join");
-    for (const zeek::SslLogRecord& record : ssl) corpus.add(joiner, record);
+    std::vector<CorpusIndex> partials(chunks);
+    std::vector<double> wall(chunks, 0.0);
+    par::parallel_for_chunks(
+        pool, ssl.size(), chunks,
+        [&partials, &wall, &joiner, &ssl](std::size_t chunk, std::size_t begin,
+                                          std::size_t end) {
+          obs::Stopwatch watch;
+          for (std::size_t i = begin; i < end; ++i) {
+            partials[chunk].add(joiner, ssl[i]);
+          }
+          wall[chunk] = watch.elapsed_ms();
+        });
+    for (std::size_t i = 0; i < chunks; ++i) {
+      attach_shard_span(obs, "join", i, wall[i]);
+    }
+    corpus = par::merge_chunks(partials);
   }
-  return analyze_corpus(corpus, obs, pool);
+  return analyze_corpus(pool, corpus, obs, run_pool);
 }
 
 StudyReport StudyPipeline::analyze(const CorpusIndex& corpus,
                                    obs::RunContext* obs,
                                    const DnPool* dn_pool) const {
   auto pipeline_timer = stage_timer(obs, "pipeline");
-  return analyze_corpus(corpus, obs, dn_pool);
+  return analyze_corpus(nullptr, corpus, obs, dn_pool);
 }
 
-StudyReport StudyPipeline::analyze_corpus(const CorpusIndex& corpus,
+StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
+                                          const CorpusIndex& corpus,
                                           obs::RunContext* obs,
                                           const DnPool* dn_pool) const {
   StudyReport report;
+  const std::size_t chunks = par::chunk_count(pool);
   report.totals = corpus.totals();
   report.unique_chains = corpus.unique_chain_count();
   publish_stage(obs, "join", report.totals.connections,
@@ -103,40 +136,69 @@ StudyReport StudyPipeline::analyze_corpus(const CorpusIndex& corpus,
                 report.totals.connections - report.totals.with_certificates);
   detail::publish_join_counters(obs, report);
 
-  // Stage 1: certificate enrichment — interception identification (the
-  // issuer classification itself happens lazily via the trust-store set).
+  // Stage 1: certificate enrichment — interception identification, chunked
+  // over the unique chains (the issuer classification itself happens lazily
+  // via the trust-store set).
   chain::InterceptionIssuerSet interception_issuers;
   {
     auto timer = stage_timer(obs, "enrich");
     const InterceptionDetector detector(*stores_, *ct_logs_, *vendors_);
-    report.interception = detector.detect(corpus);
+    report.interception = detector.detect(corpus, pool);
     interception_issuers = report.interception.issuer_set();
   }
   publish_stage(obs, "enrich", report.unique_chains, report.unique_chains, 0);
   detail::publish_enrich_counters(obs, report);
 
-  // Stage 2: chain categorization + usage statistics + Figure 1 data. With a
-  // pool the per-certificate work is a DnId set probe plus a memo load; the
-  // string path remains for poolless corpora, with identical verdicts.
+  // The corpus map in iteration order, so stages 2 and 5 can split it into
+  // consecutive chunk ranges.
+  std::vector<const ChainObservation*> observations;
+  observations.reserve(corpus.chains().size());
+  for (const auto& [chain_id, observation] : corpus.chains()) {
+    observations.push_back(&observation);
+  }
+
+  // Stage 2: chain categorization + usage statistics + Figure 1 data, as
+  // per-chunk folds merged in range order — reproducing the whole-range fold
+  // exactly, including slice vector order (what the structure stage
+  // iterates). With a DnPool the per-certificate work is a DnId set probe
+  // plus a memo load; poolless corpora keep the canonical-string path, with
+  // identical verdicts.
   detail::CategorySlices slices;
   {
     auto timer = stage_timer(obs, "categorize");
-    detail::CategorizeFold fold;
+    std::set<DnId> interception_ids;
     if (dn_pool != nullptr) {
-      truststore::IssuerClassifier classifier(*stores_, *dn_pool);
-      const std::set<DnId> interception_ids =
-          chain::issuer_ids_for(interception_issuers, *dn_pool);
-      for (const auto& [chain_id, observation] : corpus.chains()) {
-        fold.add(observation,
-                 chain::categorize_chain(observation.chain, classifier,
-                                         interception_issuers, interception_ids));
-      }
-    } else {
-      for (const auto& [chain_id, observation] : corpus.chains()) {
-        fold.add(observation, chain::categorize_chain(observation.chain, *stores_,
-                                                      interception_issuers));
-      }
+      interception_ids = chain::issuer_ids_for(interception_issuers, *dn_pool);
     }
+    std::vector<detail::CategorizeFold> folds(chunks);
+    std::vector<double> wall(chunks, 0.0);
+    par::parallel_for_chunks(
+        pool, observations.size(), chunks,
+        [&folds, &wall, &observations, &interception_issuers,
+         &interception_ids, dn_pool, this](std::size_t chunk, std::size_t begin,
+                                           std::size_t end) {
+          obs::Stopwatch watch;
+          // One classifier per chunk: its memo mutates on lookup, so
+          // instances are not shared across workers; the pool and the id set
+          // are shared read-only.
+          std::optional<truststore::IssuerClassifier> classifier;
+          if (dn_pool != nullptr) classifier.emplace(*stores_, *dn_pool);
+          for (std::size_t i = begin; i < end; ++i) {
+            const chain::CertificateChain& delivered = observations[i]->chain;
+            folds[chunk].add(
+                *observations[i],
+                classifier ? chain::categorize_chain(delivered, *classifier,
+                                                     interception_issuers,
+                                                     interception_ids)
+                           : chain::categorize_chain(delivered, *stores_,
+                                                     interception_issuers));
+          }
+          wall[chunk] = watch.elapsed_ms();
+        });
+    for (std::size_t i = 0; i < chunks; ++i) {
+      attach_shard_span(obs, "categorize", i, wall[i]);
+    }
+    detail::CategorizeFold fold = par::merge_chunks(folds);
     slices = std::move(fold.slices);
     fold.finish(report);
   }
@@ -146,157 +208,90 @@ StudyReport StudyPipeline::analyze_corpus(const CorpusIndex& corpus,
                 report.excluded_outliers.size());
   detail::publish_categorize_counters(obs, report);
 
-  // Stage 3: per-category structure analysis.
+  // The three analyzed slices, materialized before any chunk runs: map
+  // operator[] inserts, and the map must not mutate under the workers.
+  const std::vector<const ChainObservation*>* const category_slices[] = {
+      &slices[ChainCategory::kHybrid], &slices[ChainCategory::kNonPublicDbOnly],
+      &slices[ChainCategory::kTlsInterception]};
+
+  // Stage 3: the per-category structure analyzers are independent const
+  // computations over disjoint slices — one chunk each.
   {
     auto timer = stage_timer(obs, "structure");
-    const HybridAnalyzer hybrid_analyzer(*stores_, *ct_logs_, registry_,
-                                         dn_pool);
-    report.hybrid = hybrid_analyzer.analyze(slices[ChainCategory::kHybrid]);
-
-    const NonPublicAnalyzer non_public_analyzer(registry_);
-    report.non_public = non_public_analyzer.analyze(
-        "Non-public-DB-only", slices[ChainCategory::kNonPublicDbOnly]);
-    report.interception_chains = non_public_analyzer.analyze(
-        "TLS interception", slices[ChainCategory::kTlsInterception]);
+    std::vector<double> wall(3, 0.0);
+    par::parallel_for_chunks(
+        pool, 3, 3,
+        [this, &report, &category_slices, &wall, dn_pool](
+            std::size_t chunk, std::size_t, std::size_t) {
+          obs::Stopwatch watch;
+          const std::vector<const ChainObservation*>& slice =
+              *category_slices[chunk];
+          if (chunk == 0) {
+            // The analyzer builds its own per-call classifier, so the shared
+            // pool is read-only here and safe alongside the other chunks.
+            report.hybrid =
+                HybridAnalyzer(*stores_, *ct_logs_, registry_, dn_pool)
+                    .analyze(slice);
+          } else if (chunk == 1) {
+            report.non_public =
+                NonPublicAnalyzer(registry_).analyze("Non-public-DB-only", slice);
+          } else {
+            report.interception_chains =
+                NonPublicAnalyzer(registry_).analyze("TLS interception", slice);
+          }
+          wall[chunk] = watch.elapsed_ms();
+        });
+    const char* const spans[] = {"structure.hybrid", "structure.non_public",
+                                 "structure.interception"};
+    for (std::size_t i = 0; i < 3; ++i) {
+      attach_shard_span(obs, spans[i], i, wall[i]);
+    }
   }
   const std::uint64_t structure_in = detail::structure_in_count(slices);
   publish_stage(obs, "structure", structure_in, structure_in, 0);
   detail::publish_structure_counters(obs, slices);
 
-  // Stage 4: PKI relationship graphs.
+  // Stage 4: the three PKI relationship graphs, likewise independent.
   {
     auto timer = stage_timer(obs, "graphs");
-    report.hybrid_graph =
-        build_pki_graph(slices[ChainCategory::kHybrid], *stores_, dn_pool);
-    report.non_public_graph = build_pki_graph(
-        slices[ChainCategory::kNonPublicDbOnly], *stores_, dn_pool);
-    report.interception_graph = build_pki_graph(
-        slices[ChainCategory::kTlsInterception], *stores_, dn_pool);
+    PkiGraph* const graphs[] = {&report.hybrid_graph, &report.non_public_graph,
+                                &report.interception_graph};
+    par::parallel_for_chunks(
+        pool, 3, 3,
+        [this, &graphs, &category_slices, dn_pool](std::size_t chunk,
+                                                   std::size_t, std::size_t) {
+          *graphs[chunk] =
+              build_pki_graph(*category_slices[chunk], *stores_, dn_pool);
+        });
   }
   publish_stage(obs, "graphs", structure_in, structure_in, 0);
   detail::publish_graph_counters(obs, report);
 
-  // Stage 5: per-issuer-category CT compliance over the unique chains.
+  // Stage 5: per-issuer-category CT compliance over the unique chains,
+  // chunked like categorization; per-chunk reports merge additively.
   {
     auto timer = stage_timer(obs, "ct_compliance");
     const CtComplianceAnalyzer ct_analyzer(*stores_, *ct_logs_);
-    report.ct_compliance = ct_analyzer.analyze(corpus);
+    std::vector<CtComplianceReport> partials(chunks);
+    std::vector<double> wall(chunks, 0.0);
+    par::parallel_for_chunks(
+        pool, observations.size(), chunks,
+        [&partials, &wall, &observations, &ct_analyzer](
+            std::size_t chunk, std::size_t begin, std::size_t end) {
+          obs::Stopwatch watch;
+          for (std::size_t i = begin; i < end; ++i) {
+            ct_analyzer.add(*observations[i], partials[chunk]);
+          }
+          wall[chunk] = watch.elapsed_ms();
+        });
+    for (std::size_t i = 0; i < chunks; ++i) {
+      attach_shard_span(obs, "ct_compliance", i, wall[i]);
+    }
+    report.ct_compliance = par::merge_chunks(partials);
   }
   publish_stage(obs, "ct_compliance", report.unique_chains, report.unique_chains, 0);
   detail::publish_ct_compliance_counters(obs, report);
 
-  return report;
-}
-
-namespace {
-
-/// Feeds `text` through a streaming reader in chunks, publishes the reader's
-/// accounting as `ingest.<stream>.*` registry counters, and fills `stats`
-/// back FROM those counters — the registry is the single source, so the
-/// report's data-quality section and the metrics export cannot disagree.
-/// Strict mode surfaces the first recorded error instead of returning.
-template <typename Reader>
-void drive_stream(Reader& reader, std::string_view text, const char* stream_name,
-                  const IngestOptions& options, obs::MetricsRegistry& metrics,
-                  IngestStreamStats& stats, IngestReport& report) {
-  const std::string prefix = std::string("ingest.") + stream_name + ".";
-  const auto counter_at = [&metrics, &prefix](const char* leaf) {
-    return metrics.counter(prefix + leaf);
-  };
-  const std::uint64_t bytes_before = counter_at("bytes_consumed");
-  const std::uint64_t lines_before = counter_at("lines");
-  const std::uint64_t records_before = counter_at("records");
-  const std::uint64_t malformed_before = counter_at("rows_malformed");
-  const std::uint64_t skipped_before = counter_at("lines_skipped");
-  const std::uint64_t rotations_before = counter_at("rotations");
-
-  const std::size_t chunk =
-      options.feed_chunk_bytes == 0 ? std::max<std::size_t>(1, text.size())
-                                    : options.feed_chunk_bytes;
-  for (std::size_t pos = 0; pos < text.size(); pos += chunk) {
-    reader.feed(text.substr(pos, std::min(chunk, text.size() - pos)));
-  }
-  reader.finish();
-
-  metrics.count(prefix + "bytes_consumed", reader.bytes_consumed());
-  metrics.count(prefix + "lines", reader.lines_seen());
-  metrics.count(prefix + "records", reader.records_emitted());
-  metrics.count(prefix + "rows_malformed", reader.malformed_rows());
-  metrics.count(prefix + "lines_skipped", reader.lines_skipped());
-  metrics.count(prefix + "rotations", reader.rotations_seen());
-
-  stats.bytes = counter_at("bytes_consumed") - bytes_before;
-  stats.lines = counter_at("lines") - lines_before;
-  stats.records = counter_at("records") - records_before;
-  stats.malformed_rows = counter_at("rows_malformed") - malformed_before;
-  stats.skipped_lines = counter_at("lines_skipped") - skipped_before;
-  stats.rotations = counter_at("rotations") - rotations_before;
-
-  for (const auto& error : reader.errors()) {
-    if (report.sample_errors.size() >= IngestReport::kMaxSampleErrors) break;
-    report.sample_errors.push_back(std::string(stream_name) + " line " +
-                                   std::to_string(error.line_number) + ": " +
-                                   error.message);
-  }
-  if (options.mode == IngestMode::kStrict && reader.lines_skipped() > 0) {
-    const auto& first = reader.errors().front();
-    throw IngestError(std::string(stream_name) + " log line " +
-                      std::to_string(first.line_number) + ": " + first.message);
-  }
-}
-
-}  // namespace
-
-StudyReport StudyPipeline::run_text_serial(std::string_view ssl_log_text,
-                                           std::string_view x509_log_text,
-                                           const IngestOptions& options,
-                                           obs::RunContext* obs) const {
-  // Ingestion accounting always flows through a registry; without an
-  // injected context a run-local one keeps the single-source guarantee.
-  obs::RunContext local;
-  obs::RunContext* ctx = obs != nullptr ? obs : &local;
-
-  IngestReport ingest;
-  ingest.populated = true;
-  ingest.mode = options.mode;
-
-  // One pool for the whole run: the readers stamp record ids as rows parse
-  // (ids minted in stream order — the interning differential asserts the
-  // sharded path remaps to exactly these), the joiner reuses the same pool's
-  // raw-bytes memo, and the analysis stages compare its ids.
-  DnPool dn_pool;
-  std::vector<zeek::SslLogRecord> ssl;
-  std::vector<zeek::X509LogRecord> x509;
-  // Reserving from the newline count (a slight overcount: headers) keeps the
-  // record vectors from doubling through ~2x the needed footprint while rows
-  // accumulate — growth reallocation briefly holds old and new buffers.
-  ssl.reserve(static_cast<std::size_t>(
-      std::count(ssl_log_text.begin(), ssl_log_text.end(), '\n')));
-  x509.reserve(static_cast<std::size_t>(
-      std::count(x509_log_text.begin(), x509_log_text.end(), '\n')));
-  {
-    obs::StageTimer timer(*ctx, "ingest");
-    auto ssl_reader = zeek::make_streaming_ssl_reader(
-        [&ssl](zeek::SslLogRecord record) { ssl.push_back(std::move(record)); });
-    ssl_reader.set_dn_pool(&dn_pool);
-    drive_stream(ssl_reader, ssl_log_text, "ssl", options, ctx->metrics,
-                 ingest.ssl, ingest);
-
-    auto x509_reader = zeek::make_streaming_x509_reader(
-        [&x509](zeek::X509LogRecord record) { x509.push_back(std::move(record)); });
-    x509_reader.set_dn_pool(&dn_pool);
-    drive_stream(x509_reader, x509_log_text, "x509", options, ctx->metrics,
-                 ingest.x509, ingest);
-  }
-  // The stage triple counts rows that carried (or should have carried) data;
-  // header/comment lines are neither admitted nor dropped.
-  publish_stage(ctx, "ingest",
-                ingest.ssl.records + ingest.x509.records + ingest.skipped_total(),
-                ingest.ssl.records + ingest.x509.records,
-                ingest.skipped_total());
-
-  StudyReport report = run_records_serial(ssl, x509, obs, &dn_pool);
-  report.ingest = std::move(ingest);
   return report;
 }
 

@@ -105,15 +105,17 @@ class StudyPipeline {
         registry_(registry) {}
 
   /// The single entry point (DESIGN.md §11): one input descriptor, one
-  /// options struct, optional telemetry. Execution strategy follows from the
-  /// two of them —
+  /// options struct, optional telemetry. There is one execution path: run()
+  /// builds a worker pool only when options.threads resolves to more than
+  /// one worker, and every stage splits its input into one chunk per worker
+  /// (a null pool means one chunk, run inline) —
   ///
-  ///   input kind      options.threads <= 1     options.threads > 1 / 0
-  ///   kRecords        serial fold              N-way sharded (DESIGN.md §10)
-  ///   kText           serial parse+fold        sharded text ingest + analyze
-  ///   kSources/kFiles bounded-memory streaming fold; analysis serial/sharded
+  ///   input kind      work split into chunks
+  ///   kRecords        join/fold + every analysis stage
+  ///   kText           line-aligned text ingest, then as kRecords
+  ///   kSources/kFiles bounded-memory streaming fold, then the analysis stages
   ///
-  /// and every combination produces byte-identical report text and identical
+  /// and every thread count produces byte-identical report text and identical
   /// deterministic metrics (streamed runs add `stream.*` counters and `mem.*`
   /// gauges on top). Streamed runs honour options.chunk_bytes and — when
   /// options.checkpoint_path is set — write a resumable fold snapshot after
@@ -125,12 +127,14 @@ class StudyPipeline {
   /// `stage.<name>.{in,admitted,dropped}` counter triple plus a trace span,
   /// and the per-analyzer counters land in the registry; the counts
   /// reconcile exactly with the returned StudyReport (asserted in
-  /// test_pipeline_units).
+  /// test_pipeline_units). A pooled run also records `par.threads` in the
+  /// config.
   StudyReport run(const StudyInput& input, const RunOptions& options = {},
                   obs::RunContext* obs = nullptr) const;
 
-  /// Stages 1-4 over an already-built corpus index, without re-ingesting or
-  /// re-joining anything. This is the query-serving entry point (DESIGN.md
+  /// Stages 1-5 over an already-built corpus index, without re-ingesting or
+  /// re-joining anything, inline on the calling thread (the same stage code
+  /// run() uses, with a null pool). This is the query-serving entry point (DESIGN.md
   /// §12): svc::ServiceState keeps a live CorpusIndex warm across
   /// ingest_append calls and re-analyzes it here — producing exactly the
   /// StudyReport a batch run over the same folded connections would, which
@@ -146,50 +150,34 @@ class StudyPipeline {
   static constexpr std::size_t kOutlierLength = 30;
 
  private:
-  // Per-input-kind drivers behind run()'s dispatch.
-  StudyReport run_records(const std::vector<zeek::SslLogRecord>& ssl,
+  // Per-input-kind drivers behind run()'s dispatch. `pool` carries the
+  // worker count; null runs every stage inline as one chunk.
+  //
+  // `dn_pool` (optional) is the run's interning pool: the joiner parses each
+  // distinct DN spelling once through it and the analysis stages compare
+  // ids. The text path passes the pool its readers interned into; a null
+  // pool makes run_records create a run-local one.
+  StudyReport run_records(par::ThreadPool* pool,
+                          const std::vector<zeek::SslLogRecord>& ssl,
                           const std::vector<zeek::X509LogRecord>& x509,
-                          const RunOptions& options, obs::RunContext* obs) const;
-  /// `dn_pool` (optional everywhere below) is the run's interning pool: the
-  /// joiner parses each distinct DN spelling once through it and the analysis
-  /// stages compare ids. Callers that already interned their records (the
-  /// text paths) pass theirs; a null pool makes the driver create a run-local
-  /// one.
-  StudyReport run_records_serial(const std::vector<zeek::SslLogRecord>& ssl,
-                                 const std::vector<zeek::X509LogRecord>& x509,
-                                 obs::RunContext* obs,
-                                 DnPool* dn_pool = nullptr) const;
-  StudyReport run_text(std::string_view ssl_log_text,
-                       std::string_view x509_log_text, const RunOptions& options,
-                       obs::RunContext* obs) const;
-  StudyReport run_text_serial(std::string_view ssl_log_text,
-                              std::string_view x509_log_text,
-                              const IngestOptions& options,
-                              obs::RunContext* obs) const;
+                          obs::RunContext* obs, DnPool* dn_pool = nullptr) const;
+  StudyReport run_text(par::ThreadPool* pool, std::string_view ssl_log_text,
+                       std::string_view x509_log_text,
+                       const IngestOptions& options, obs::RunContext* obs) const;
   /// The bounded-memory streaming engine (pipeline_stream.cpp): X509 is
   /// streamed into the joiner index first, then SSL chunk by chunk — each
   /// chunk folds into a shard-like partial corpus merged in arrival order —
   /// with optional checkpoint/resume (DESIGN.md §11).
-  StudyReport run_streaming(LogSource& ssl_source, LogSource& x509_source,
-                            const RunOptions& options,
+  StudyReport run_streaming(par::ThreadPool* pool, LogSource& ssl_source,
+                            LogSource& x509_source, const RunOptions& options,
                             obs::RunContext* obs) const;
 
-  // Stages 1-4 over a built corpus (the code shared by every execution
-  // strategy once joining is done). Publishes the join/enrich/categorize/
-  // structure/graphs stage triples and counters; the caller owns the
-  // enclosing "pipeline" stage timer.
-  StudyReport analyze_corpus(const CorpusIndex& corpus, obs::RunContext* obs,
-                             const DnPool* dn_pool = nullptr) const;
-  StudyReport analyze_corpus_on_pool(par::ThreadPool& pool,
-                                     const CorpusIndex& corpus,
-                                     obs::RunContext* obs,
-                                     const DnPool* dn_pool = nullptr) const;
-
-  /// The sharded analysis path; `pool` carries the worker count.
-  StudyReport run_on_pool(par::ThreadPool& pool,
-                          const std::vector<zeek::SslLogRecord>& ssl,
-                          const std::vector<zeek::X509LogRecord>& x509,
-                          obs::RunContext* obs, DnPool* dn_pool = nullptr) const;
+  // Stages 1-5 over a built corpus: the one analysis body every execution
+  // strategy shares once joining is done. Publishes the join/enrich/
+  // categorize/structure/graphs/ct_compliance stage triples and counters;
+  // the caller owns the enclosing "pipeline" stage timer.
+  StudyReport analyze_corpus(par::ThreadPool* pool, const CorpusIndex& corpus,
+                             obs::RunContext* obs, const DnPool* dn_pool) const;
 
   const truststore::TrustStoreSet* stores_;
   const ct::CtLogSet* ct_logs_;

@@ -11,6 +11,13 @@ std::optional<obs::StageTimer> stage_timer(obs::RunContext* obs,
   return timer;
 }
 
+void attach_shard_span(obs::RunContext* obs, const char* stage,
+                       std::size_t chunk, double wall_ms) {
+  if (obs == nullptr) return;
+  obs->trace.attach_closed(
+      std::string(stage) + ".shard" + std::to_string(chunk), wall_ms);
+}
+
 void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,
                    std::uint64_t admitted, std::uint64_t dropped) {
   if (obs == nullptr) return;

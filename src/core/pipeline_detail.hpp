@@ -1,12 +1,11 @@
-// Internal helpers shared by the serial (pipeline.cpp) and sharded
-// (pipeline_parallel.cpp) StudyPipeline paths.
+// Internal helpers of the StudyPipeline execution path (pipeline.cpp,
+// pipeline_parallel.cpp, pipeline_stream.cpp).
 //
-// The differential guarantee — serial and N-thread runs produce
-// byte-identical reports and identical deterministic counters — is cheap to
-// uphold because both paths flow through the same code here: the per-chain
-// categorization fold, and every counter-publishing block. The two paths can
-// only drift if one of these folds drifts, which the parallel-diff suite
-// catches. Not part of the public API.
+// The differential guarantee — every thread count and every input kind
+// produce byte-identical reports and identical deterministic counters — is
+// cheap to uphold because all of them flow through the same code here: the
+// per-chain categorization fold, and every counter-publishing block. Not part
+// of the public API.
 #pragma once
 
 #include <map>
@@ -24,6 +23,12 @@ namespace certchain::core::detail {
 std::optional<obs::StageTimer> stage_timer(obs::RunContext* obs,
                                            const char* name);
 
+/// Attaches a worker-measured chunk span (`<stage>.shard<chunk>`) under the
+/// currently open stage span. Coordinator thread only; the Trace is not
+/// thread-safe. A no-op without obs.
+void attach_shard_span(obs::RunContext* obs, const char* stage,
+                       std::size_t chunk, double wall_ms);
+
 /// Publishes the reserved manifest triple for one stage.
 void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,
                    std::uint64_t admitted, std::uint64_t dropped);
@@ -32,12 +37,11 @@ void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,
 using CategorySlices =
     std::map<chain::ChainCategory, std::vector<const ChainObservation*>>;
 
-/// Stage-2 accumulator: the per-chain categorization fold, usable serially
-/// (one fold over the whole corpus) or sharded (one fold per shard, merged
-/// in shard order). Chains must be added in corpus iteration order within a
-/// fold; merging folds of consecutive corpus ranges in range order then
-/// reproduces the serial fold exactly — including the order of slice
-/// vectors, Figure 1 length series and excluded outliers.
+/// Stage-2 accumulator: the per-chain categorization fold, one per chunk,
+/// merged in chunk order. Chains must be added in corpus iteration order
+/// within a fold; merging folds of consecutive corpus ranges in range order
+/// then reproduces the whole-corpus fold exactly — including the order of
+/// slice vectors, Figure 1 length series and excluded outliers.
 struct CategorizeFold {
   CategorySlices slices;
   std::map<chain::ChainCategory, CategoryUsage> categories;
@@ -46,10 +50,10 @@ struct CategorizeFold {
   std::vector<ExcludedOutlier> excluded_outliers;
   util::Counter<std::uint16_t> ports_hybrid;
 
-  /// Folds one categorized chain in (the body of the serial stage-2 loop).
+  /// Folds one categorized chain in (the body of the stage-2 chunk loop).
   void add(const ChainObservation& observation, chain::ChainCategory category);
 
-  /// Appends another fold; call in shard-index order.
+  /// Appends another fold; call in chunk order.
   void merge_from(CategorizeFold&& other);
 
   /// Moves everything except `slices` into the report and resolves the
@@ -58,7 +62,8 @@ struct CategorizeFold {
 };
 
 // Per-stage counter publication, always computed from the (merged) report so
-// serial and sharded runs cannot disagree. Each is a no-op without obs.
+// runs at different thread counts cannot disagree. Each is a no-op without
+// obs.
 void publish_join_counters(obs::RunContext* obs, const StudyReport& report);
 void publish_enrich_counters(obs::RunContext* obs, const StudyReport& report);
 void publish_categorize_counters(obs::RunContext* obs, const StudyReport& report);

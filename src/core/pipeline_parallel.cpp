@@ -1,18 +1,15 @@
-// The sharded StudyPipeline path (DESIGN.md §10).
+// The StudyPipeline text-ingest driver (DESIGN.md §10).
 //
-// Every stage follows the same scheme: split the input into per-shard slots,
-// run the shard bodies on the pool, then merge the slots **in shard order**
-// on the coordinating thread. Because each merge is either order-independent
-// (sums, set unions, min/max) or a concatenation of consecutive input ranges
-// in range order, the merged state is exactly what the serial fold over the
-// whole input produces — which is why the reports come out byte-identical.
-// The parallel-diff suite (tests/test_parallel_diff.cpp) enforces that
-// contract against the serial path for every release.
+// Raw Zeek log text is split into one line-aligned shard per pool worker —
+// one shard, parsed inline, when the pool is null. A header-state scan plus
+// a left-to-right combine primes every shard's reader with the exact state a
+// whole-stream reader would be in at its boundary; the shards then parse
+// into per-shard slots that merge in shard order, so records, ingestion
+// counters, sample errors (absolute line numbers), DN ids and the
+// strict-mode failure are identical at every thread count. The parsed
+// records then run through the records driver (pipeline.cpp).
 #include <algorithm>
-#include <functional>
 #include <iterator>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -22,76 +19,56 @@
 #include "obs/stopwatch.hpp"
 #include "par/shard.hpp"
 #include "par/thread_pool.hpp"
-#include "truststore/issuer_classifier.hpp"
-#include "zeek/joiner.hpp"
 #include "zeek/log_stream.hpp"
 
 namespace certchain::core {
 
-using chain::ChainCategory;
+using detail::attach_shard_span;
 using detail::publish_stage;
-using detail::stage_timer;
 
 namespace {
 
-/// Attaches a worker-measured shard span under the currently open stage
-/// span. Coordinator-thread only; the Trace is not thread-safe.
-void attach_shard_span(obs::RunContext* obs, const char* stage,
-                       std::size_t shard, double wall_ms) {
-  if (obs == nullptr) return;
-  obs->trace.attach_closed(
-      std::string(stage) + ".shard" + std::to_string(shard), wall_ms);
-}
-
-/// Sharded equivalent of pipeline.cpp's drive_stream: line-aligned text
-/// shards, a header-state scan + serial prefix combine so every shard's
-/// reader starts in the exact state a serial reader would be in at its
-/// boundary, then a primed parallel parse into per-shard slots. Records,
-/// ingestion counters (via shard-local registries merged in shard order),
-/// sample errors (absolute line numbers) and the strict-mode failure are all
-/// identical to the serial pass.
+/// Parses one log stream into records, interning DNs into the run's
+/// `dn_pool`. Publishes the readers' accounting as `ingest.<stream>.*`
+/// registry counters and fills `stats` back FROM those counters — the
+/// registry is the single source, so the report's data-quality section and
+/// the metrics export cannot disagree. Strict mode surfaces the first
+/// recorded error instead of returning.
 template <typename Record>
-void ingest_stream_sharded(par::ThreadPool& pool, std::string_view text,
-                           const char* stream_name,
-                           const std::string& expected_fields,
-                           const IngestOptions& options, obs::RunContext& ctx,
-                           IngestStreamStats& stats, IngestReport& report,
-                           std::vector<Record>& out, DnPool* dn_pool) {
+std::vector<Record> ingest_stream_sharded(
+    par::ThreadPool* pool, std::string_view text, const char* stream_name,
+    const std::string& expected_fields, const IngestOptions& options,
+    obs::RunContext& ctx, IngestStreamStats& stats, IngestReport& report,
+    DnPool& dn_pool) {
   using Reader = zeek::StreamingLogReader<Record>;
-  const std::size_t shard_count = pool.size();
   const std::vector<par::TextShard> shards =
-      par::split_line_aligned(text, shard_count);
+      par::split_line_aligned(text, par::chunk_count(pool));
 
-  // Phase 1: header-state scan per shard, combined left-to-right into the
-  // reader entry state (in-body flag + absolute line offset) per boundary.
-  std::vector<zeek::ShardHeaderScan> scans(shards.size());
-  {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      tasks.push_back([&scans, &shards, &expected_fields, i] {
+  // Phase 1: header-state scan of every shard but the last, whose exit state
+  // nothing reads, combined left-to-right into each shard's reader entry
+  // state (in-body flag + absolute line offset). One shard scans nothing.
+  const std::size_t scanned = shards.size() - 1;
+  std::vector<zeek::ShardHeaderScan> scans(scanned);
+  par::parallel_for_chunks(
+      pool, scanned, scanned,
+      [&scans, &shards, &expected_fields](std::size_t i, std::size_t,
+                                          std::size_t) {
         scans[i] =
             zeek::scan_shard_header_state(shards[i].text, expected_fields);
       });
-    }
-    pool.run_batch(std::move(tasks));
-  }
   std::vector<char> entry_in_body(shards.size(), 0);
   std::vector<std::size_t> entry_offset(shards.size(), 0);
-  {
-    bool in_body = false;
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      entry_in_body[i] = in_body ? 1 : 0;
-      entry_offset[i] = offset;
-      if (scans[i].has_directive) in_body = scans[i].exit_in_body;
-      offset += scans[i].newlines;
-    }
+  for (std::size_t i = 1; i < shards.size(); ++i) {
+    const zeek::ShardHeaderScan& before = scans[i - 1];
+    entry_in_body[i] = before.has_directive ? before.exit_in_body
+                                            : entry_in_body[i - 1];
+    entry_offset[i] = entry_offset[i - 1] + before.newlines;
   }
 
-  // Phase 2: primed parallel parse into per-shard slots. Each shard interns
-  // DNs into its own pool (no sharing, no locks); the id-remap merge below
-  // reconciles the shard-local ids.
+  // Phase 2: primed parse into per-shard slots. Shard 0 interns straight into
+  // the run pool — the ids it mints are already the ones a whole-stream
+  // reader would — while later shards intern into private pools (no sharing,
+  // no locks) that the merge below absorbs.
   struct ShardSlot {
     std::vector<Record> records;
     obs::MetricsRegistry metrics;
@@ -102,19 +79,23 @@ void ingest_stream_sharded(par::ThreadPool& pool, std::string_view text,
   };
   std::vector<ShardSlot> slots(shards.size());
   const std::string prefix = std::string("ingest.") + stream_name + ".";
-  {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      tasks.push_back([&, i, dn_pool] {
+  par::parallel_for_chunks(
+      pool, shards.size(), shards.size(),
+      [&](std::size_t i, std::size_t, std::size_t) {
         obs::Stopwatch watch;
         ShardSlot& slot = slots[i];
+        const std::string_view shard = shards[i].text;
+        // Reserving from the newline count (a slight overcount: headers)
+        // keeps the record vector from doubling through ~2x the needed
+        // footprint while rows accumulate — growth reallocation briefly
+        // holds old and new buffers.
+        slot.records.reserve(static_cast<std::size_t>(
+            std::count(shard.begin(), shard.end(), '\n')));
         Reader reader(expected_fields, [&slot](Record record) {
           slot.records.push_back(std::move(record));
         });
-        if (dn_pool != nullptr) reader.set_dn_pool(&slot.dn_pool);
+        reader.set_dn_pool(i == 0 ? &dn_pool : &slot.dn_pool);
         reader.prime(entry_in_body[i] != 0, entry_offset[i]);
-        const std::string_view shard = shards[i].text;
         const std::size_t chunk = options.feed_chunk_bytes == 0
                                       ? std::max<std::size_t>(1, shard.size())
                                       : options.feed_chunk_bytes;
@@ -132,13 +113,9 @@ void ingest_stream_sharded(par::ThreadPool& pool, std::string_view text,
         slot.lines_skipped = reader.lines_skipped();
         slot.wall_ms = watch.elapsed_ms();
       });
-    }
-    pool.run_batch(std::move(tasks));
-  }
 
-  // Phase 3: deterministic merge in shard order. Stats are read back from
-  // the registry exactly like the serial path, so the single-source
-  // guarantee (report == metrics export) holds here too.
+  // Phase 3: deterministic merge in shard order; stats are read back from
+  // the registry.
   const auto counter_at = [&ctx, &prefix](const char* leaf) {
     return ctx.metrics.counter(prefix + leaf);
   };
@@ -151,22 +128,27 @@ void ingest_stream_sharded(par::ThreadPool& pool, std::string_view text,
 
   const std::string span_stage = std::string("ingest.") + stream_name;
   std::size_t total_skipped = 0;
+  std::size_t total_records = 0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
+    ctx.metrics.merge_from(slots[i].metrics);
+    attach_shard_span(&ctx, span_stage.c_str(), i, slots[i].wall_ms);
+    total_skipped += slots[i].lines_skipped;
+    total_records += slots[i].records.size();
+  }
+
+  // Records: shard 0's vector moves in; later shards run the id-remap merge
+  // protocol (DESIGN.md §16) — absorb the shard pool in shard order and
+  // rewrite the shard-local ids. Because each shard's ids follow
+  // first-occurrence order within the shard, this reproduces exactly the ids
+  // a whole-stream reader would have minted.
+  std::vector<Record> records = std::move(slots[0].records);
+  records.reserve(total_records);
+  for (std::size_t i = 1; i < slots.size(); ++i) {
     ShardSlot& slot = slots[i];
-    ctx.metrics.merge_from(slot.metrics);
-    attach_shard_span(&ctx, span_stage.c_str(), i, slot.wall_ms);
-    total_skipped += slot.lines_skipped;
-    if (dn_pool != nullptr) {
-      // Id-remap merge protocol (DESIGN.md §16): absorb the shard pool in
-      // shard order and rewrite the shard-local ids. Because each shard's
-      // ids follow first-occurrence order within the shard, absorbing in
-      // shard order reproduces exactly the ids a serial reader would have
-      // minted over the whole stream.
-      const std::vector<DnId> id_map = dn_pool->absorb(slot.dn_pool);
-      for (Record& record : slot.records) zeek::remap_dn_ids(record, id_map);
-    }
-    out.insert(out.end(), std::make_move_iterator(slot.records.begin()),
-               std::make_move_iterator(slot.records.end()));
+    const std::vector<DnId> id_map = dn_pool.absorb(slot.dn_pool);
+    for (Record& record : slot.records) zeek::remap_dn_ids(record, id_map);
+    records.insert(records.end(), std::make_move_iterator(slot.records.begin()),
+                   std::make_move_iterator(slot.records.end()));
   }
 
   stats.bytes = counter_at("bytes_consumed") - bytes_before;
@@ -178,7 +160,7 @@ void ingest_stream_sharded(par::ThreadPool& pool, std::string_view text,
 
   // Shard-order concatenation of the per-shard error samples IS stream
   // order, so the first kMaxSampleErrors (and the strict-mode first error)
-  // match the serial reader's.
+  // match a whole-stream reader's.
   for (const ShardSlot& slot : slots) {
     for (const auto& error : slot.errors) {
       if (report.sample_errors.size() >= IngestReport::kMaxSampleErrors) break;
@@ -196,281 +178,50 @@ void ingest_stream_sharded(par::ThreadPool& pool, std::string_view text,
                         first.message);
     }
   }
+  return records;
 }
 
 }  // namespace
 
-StudyReport StudyPipeline::run_text(std::string_view ssl_log_text,
+StudyReport StudyPipeline::run_text(par::ThreadPool* pool,
+                                    std::string_view ssl_log_text,
                                     std::string_view x509_log_text,
-                                    const RunOptions& options,
+                                    const IngestOptions& options,
                                     obs::RunContext* obs) const {
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) {
-    return run_text_serial(ssl_log_text, x509_log_text, options.ingest, obs);
-  }
-  par::ThreadPool pool(threads);
-
+  // Ingestion accounting always flows through a registry; without an
+  // injected context a run-local one keeps the single-source guarantee.
   obs::RunContext local;
   obs::RunContext* ctx = obs != nullptr ? obs : &local;
-  if (obs != nullptr) {
-    obs->set_config("par.threads", static_cast<std::uint64_t>(pool.size()));
-  }
 
   IngestReport ingest;
   ingest.populated = true;
-  ingest.mode = options.ingest.mode;
+  ingest.mode = options.mode;
 
-  // The run pool. Shard readers intern into private pools; the merge absorbs
-  // them in shard order (ssl stream first, then x509 — the serial drive
-  // order), so the merged ids match the serial text path's exactly.
+  // One pool for the whole run, filled ssl stream first, then x509: the ids
+  // match what one reader over the two streams in that order mints. The
+  // joiner reuses the same pool's raw-bytes memo, and the analysis stages
+  // compare its ids.
   DnPool dn_pool;
   std::vector<zeek::SslLogRecord> ssl;
   std::vector<zeek::X509LogRecord> x509;
   {
     obs::StageTimer timer(*ctx, "ingest");
-    ingest_stream_sharded<zeek::SslLogRecord>(
-        pool, ssl_log_text, "ssl", zeek::ssl_log_fields(), options.ingest,
-        *ctx, ingest.ssl, ingest, ssl, &dn_pool);
-    ingest_stream_sharded<zeek::X509LogRecord>(
-        pool, x509_log_text, "x509", zeek::x509_log_fields(), options.ingest,
-        *ctx, ingest.x509, ingest, x509, &dn_pool);
+    ssl = ingest_stream_sharded<zeek::SslLogRecord>(
+        pool, ssl_log_text, "ssl", zeek::ssl_log_fields(), options, *ctx,
+        ingest.ssl, ingest, dn_pool);
+    x509 = ingest_stream_sharded<zeek::X509LogRecord>(
+        pool, x509_log_text, "x509", zeek::x509_log_fields(), options, *ctx,
+        ingest.x509, ingest, dn_pool);
   }
+  // The stage triple counts rows that carried (or should have carried) data;
+  // header/comment lines are neither admitted nor dropped.
   publish_stage(ctx, "ingest",
                 ingest.ssl.records + ingest.x509.records + ingest.skipped_total(),
                 ingest.ssl.records + ingest.x509.records,
                 ingest.skipped_total());
 
-  StudyReport report = run_on_pool(pool, ssl, x509, obs, &dn_pool);
+  StudyReport report = run_records(pool, ssl, x509, obs, &dn_pool);
   report.ingest = std::move(ingest);
-  return report;
-}
-
-StudyReport StudyPipeline::run_on_pool(par::ThreadPool& pool,
-                                       const std::vector<zeek::SslLogRecord>& ssl,
-                                       const std::vector<zeek::X509LogRecord>& x509,
-                                       obs::RunContext* obs,
-                                       DnPool* dn_pool) const {
-  auto pipeline_timer = stage_timer(obs, "pipeline");
-  const std::size_t shard_count = pool.size();
-
-  // Stage 0: the joiner index is built once — on the coordinator, against
-  // the run's DnPool, so the pool is complete and read-only before any
-  // worker touches it — and shared read-only; SSL rows fold into per-shard
-  // corpora, merged in shard order (order-independent reductions +
-  // cross-shard certificate dedupe inside merge_from).
-  DnPool local_pool;
-  DnPool* run_pool = dn_pool != nullptr ? dn_pool : &local_pool;
-  zeek::LogJoiner joiner;
-  joiner.set_dn_pool(run_pool);
-  for (const zeek::X509LogRecord& record : x509) joiner.add(record);
-  CorpusIndex corpus;
-  {
-    auto timer = stage_timer(obs, "join");
-    std::vector<CorpusIndex> partials(shard_count);
-    std::vector<double> wall(shard_count, 0.0);
-    par::parallel_for_chunks(
-        &pool, ssl.size(), shard_count,
-        [&partials, &wall, &joiner, &ssl](std::size_t chunk, std::size_t begin,
-                                          std::size_t end) {
-          obs::Stopwatch watch;
-          for (std::size_t i = begin; i < end; ++i) {
-            partials[chunk].add(joiner, ssl[i]);
-          }
-          wall[chunk] = watch.elapsed_ms();
-        });
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      attach_shard_span(obs, "join", i, wall[i]);
-      corpus.merge_from(std::move(partials[i]));
-    }
-  }
-  return analyze_corpus_on_pool(pool, corpus, obs, run_pool);
-}
-
-StudyReport StudyPipeline::analyze_corpus_on_pool(par::ThreadPool& pool,
-                                                  const CorpusIndex& corpus,
-                                                  obs::RunContext* obs,
-                                                  const DnPool* dn_pool) const {
-  StudyReport report;
-  const std::size_t shard_count = pool.size();
-  report.totals = corpus.totals();
-  report.unique_chains = corpus.unique_chain_count();
-  publish_stage(obs, "join", report.totals.connections,
-                report.totals.with_certificates,
-                report.totals.connections - report.totals.with_certificates);
-  detail::publish_join_counters(obs, report);
-
-  // Stage 1: interception identification, sharded over the unique chains.
-  chain::InterceptionIssuerSet interception_issuers;
-  {
-    auto timer = stage_timer(obs, "enrich");
-    const InterceptionDetector detector(*stores_, *ct_logs_, *vendors_);
-    report.interception = detector.detect(corpus, &pool);
-    interception_issuers = report.interception.issuer_set();
-  }
-  publish_stage(obs, "enrich", report.unique_chains, report.unique_chains, 0);
-  detail::publish_enrich_counters(obs, report);
-
-  // Stage 2: per-shard categorization folds over consecutive ranges of the
-  // corpus map, merged in range order — reproducing the serial fold exactly,
-  // including slice vector order (what the structure stage iterates).
-  detail::CategorySlices slices;
-  {
-    auto timer = stage_timer(obs, "categorize");
-    std::vector<const ChainObservation*> observations;
-    observations.reserve(corpus.chains().size());
-    for (const auto& [chain_id, observation] : corpus.chains()) {
-      observations.push_back(&observation);
-    }
-    std::vector<detail::CategorizeFold> folds(shard_count);
-    std::vector<double> wall(shard_count, 0.0);
-    if (dn_pool != nullptr) {
-      // Shared read-only pool + id set; one classifier per shard (its memo
-      // mutates on lookup, so instances are not shared across workers).
-      const std::set<DnId> interception_ids =
-          chain::issuer_ids_for(interception_issuers, *dn_pool);
-      par::parallel_for_chunks(
-          &pool, observations.size(), shard_count,
-          [&folds, &wall, &observations, &interception_issuers,
-           &interception_ids, dn_pool, this](std::size_t chunk,
-                                             std::size_t begin,
-                                             std::size_t end) {
-            obs::Stopwatch watch;
-            truststore::IssuerClassifier classifier(*stores_, *dn_pool);
-            for (std::size_t i = begin; i < end; ++i) {
-              const ChainObservation& observation = *observations[i];
-              folds[chunk].add(observation,
-                               chain::categorize_chain(observation.chain,
-                                                       classifier,
-                                                       interception_issuers,
-                                                       interception_ids));
-            }
-            wall[chunk] = watch.elapsed_ms();
-          });
-    } else {
-      par::parallel_for_chunks(
-          &pool, observations.size(), shard_count,
-          [&folds, &wall, &observations, &interception_issuers, this](
-              std::size_t chunk, std::size_t begin, std::size_t end) {
-            obs::Stopwatch watch;
-            for (std::size_t i = begin; i < end; ++i) {
-              const ChainObservation& observation = *observations[i];
-              folds[chunk].add(observation,
-                               chain::categorize_chain(observation.chain, *stores_,
-                                                       interception_issuers));
-            }
-            wall[chunk] = watch.elapsed_ms();
-          });
-    }
-    detail::CategorizeFold fold;
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      attach_shard_span(obs, "categorize", i, wall[i]);
-      fold.merge_from(std::move(folds[i]));
-    }
-    slices = std::move(fold.slices);
-    fold.finish(report);
-  }
-  publish_stage(obs, "categorize", report.unique_chains, report.unique_chains, 0);
-  publish_stage(obs, "figure1", report.unique_chains,
-                report.unique_chains - report.excluded_outliers.size(),
-                report.excluded_outliers.size());
-  detail::publish_categorize_counters(obs, report);
-
-  // The three analyzed slices, materialized before any batch launches:
-  // map operator[] inserts, and the map must not mutate under the workers.
-  const std::vector<const ChainObservation*>& hybrid_slice =
-      slices[ChainCategory::kHybrid];
-  const std::vector<const ChainObservation*>& non_public_slice =
-      slices[ChainCategory::kNonPublicDbOnly];
-  const std::vector<const ChainObservation*>& interception_slice =
-      slices[ChainCategory::kTlsInterception];
-
-  // Stage 3: the per-category structure analyzers are independent const
-  // computations over disjoint slices — one task each.
-  {
-    auto timer = stage_timer(obs, "structure");
-    std::vector<double> wall(3, 0.0);
-    std::vector<std::function<void()>> tasks;
-    tasks.push_back([this, &report, &hybrid_slice, &wall, dn_pool] {
-      obs::Stopwatch watch;
-      // The analyzer builds its own per-call classifier, so the shared pool
-      // is read-only here and safe alongside the other structure tasks.
-      const HybridAnalyzer analyzer(*stores_, *ct_logs_, registry_, dn_pool);
-      report.hybrid = analyzer.analyze(hybrid_slice);
-      wall[0] = watch.elapsed_ms();
-    });
-    tasks.push_back([this, &report, &non_public_slice, &wall] {
-      obs::Stopwatch watch;
-      const NonPublicAnalyzer analyzer(registry_);
-      report.non_public = analyzer.analyze("Non-public-DB-only", non_public_slice);
-      wall[1] = watch.elapsed_ms();
-    });
-    tasks.push_back([this, &report, &interception_slice, &wall] {
-      obs::Stopwatch watch;
-      const NonPublicAnalyzer analyzer(registry_);
-      report.interception_chains =
-          analyzer.analyze("TLS interception", interception_slice);
-      wall[2] = watch.elapsed_ms();
-    });
-    pool.run_batch(std::move(tasks));
-    attach_shard_span(obs, "structure.hybrid", 0, wall[0]);
-    attach_shard_span(obs, "structure.non_public", 1, wall[1]);
-    attach_shard_span(obs, "structure.interception", 2, wall[2]);
-  }
-  const std::uint64_t structure_in = detail::structure_in_count(slices);
-  publish_stage(obs, "structure", structure_in, structure_in, 0);
-  detail::publish_structure_counters(obs, slices);
-
-  // Stage 4: the three PKI graphs, likewise independent.
-  {
-    auto timer = stage_timer(obs, "graphs");
-    std::vector<std::function<void()>> tasks;
-    tasks.push_back([this, &report, &hybrid_slice, dn_pool] {
-      report.hybrid_graph = build_pki_graph(hybrid_slice, *stores_, dn_pool);
-    });
-    tasks.push_back([this, &report, &non_public_slice, dn_pool] {
-      report.non_public_graph =
-          build_pki_graph(non_public_slice, *stores_, dn_pool);
-    });
-    tasks.push_back([this, &report, &interception_slice, dn_pool] {
-      report.interception_graph =
-          build_pki_graph(interception_slice, *stores_, dn_pool);
-    });
-    pool.run_batch(std::move(tasks));
-  }
-  publish_stage(obs, "graphs", structure_in, structure_in, 0);
-  detail::publish_graph_counters(obs, report);
-
-  // Stage 5: CT compliance, sharded over the same materialized observation
-  // order as categorization; per-shard reports merge additively, so the
-  // result is identical to the serial fold.
-  {
-    auto timer = stage_timer(obs, "ct_compliance");
-    const CtComplianceAnalyzer ct_analyzer(*stores_, *ct_logs_);
-    std::vector<const ChainObservation*> observations;
-    observations.reserve(corpus.chains().size());
-    for (const auto& [chain_id, observation] : corpus.chains()) {
-      observations.push_back(&observation);
-    }
-    std::vector<CtComplianceReport> partials(shard_count);
-    std::vector<double> wall(shard_count, 0.0);
-    par::parallel_for_chunks(
-        &pool, observations.size(), shard_count,
-        [&partials, &wall, &observations, &ct_analyzer](
-            std::size_t chunk, std::size_t begin, std::size_t end) {
-          obs::Stopwatch watch;
-          for (std::size_t i = begin; i < end; ++i) {
-            ct_analyzer.add(*observations[i], partials[chunk]);
-          }
-          wall[chunk] = watch.elapsed_ms();
-        });
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      attach_shard_span(obs, "ct_compliance", i, wall[i]);
-      report.ct_compliance.merge_from(partials[i]);
-    }
-  }
-  publish_stage(obs, "ct_compliance", report.unique_chains, report.unique_chains, 0);
-  detail::publish_ct_compliance_counters(obs, report);
-
   return report;
 }
 

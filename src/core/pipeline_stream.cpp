@@ -13,8 +13,8 @@
 //   Phase B — SSL: the dominant stream (one row per connection) is read
 //   chunk by chunk. Each chunk's records are joined and folded into a
 //   shard-like partial CorpusIndex which is merged into the run corpus in
-//   arrival order — the same merge the sharded pipeline uses (DESIGN.md
-//   §10), and merging consecutive partials in order reproduces the serial
+//   arrival order — the same merge the chunked join uses (DESIGN.md §10),
+//   and merging consecutive partials in order reproduces the whole-stream
 //   fold exactly. Peak residency is O(chunk_bytes) + the deduplicated corpus
 //   + the joiner index, never O(total SSL bytes).
 //
@@ -23,7 +23,7 @@
 // validates both stream digests, seeks past the folded SSL prefix and
 // continues — producing the byte-identical report an uninterrupted run
 // yields. Streamed runs add `stream.*` counters and the `mem.peak_rss_bytes`
-// gauge on top of the serial path's metrics; everything else (report text,
+// gauge on top of the in-memory paths' metrics; everything else (report text,
 // counters, histograms, manifest stage accounting) is identical at every
 // chunk size, which tests/test_streaming.cpp asserts.
 #include <algorithm>
@@ -39,7 +39,6 @@
 #include "obs/resource.hpp"
 #include "obs/run_context.hpp"
 #include "obs/stopwatch.hpp"
-#include "par/thread_pool.hpp"
 #include "util/hash.hpp"
 #include "zeek/joiner.hpp"
 #include "zeek/log_stream.hpp"
@@ -51,7 +50,7 @@ using detail::stage_timer;
 
 namespace {
 
-/// Bounds-checked counter snapshot/delta helper matching drive_stream's
+/// Bounds-checked counter snapshot/delta helper matching the text ingest's
 /// single-source discipline: publish the reader's totals, then read the
 /// stats back FROM the registry.
 struct StreamCounterFrame {
@@ -90,7 +89,7 @@ struct StreamCounterFrame {
 
 /// Appends a reader's recorded errors to the capped sample and raises the
 /// strict-mode failure — the same text, in the same stream order (ssl before
-/// x509), as the serial drive_stream.
+/// x509), as the in-memory text ingest.
 template <typename Reader>
 void account_stream_errors(const Reader& reader, const char* stream_name,
                            const IngestOptions& options, IngestReport& report) {
@@ -130,7 +129,8 @@ bool verify_ssl_prefix(LogSource& source, std::uint64_t offset,
 
 }  // namespace
 
-StudyReport StudyPipeline::run_streaming(LogSource& ssl_source,
+StudyReport StudyPipeline::run_streaming(par::ThreadPool* pool,
+                                         LogSource& ssl_source,
                                          LogSource& x509_source,
                                          const RunOptions& options,
                                          obs::RunContext* obs) const {
@@ -191,7 +191,7 @@ StudyReport StudyPipeline::run_streaming(LogSource& ssl_source,
     // Phase B: join index, then the SSL chunk fold. The "join" span covers
     // the index build; the per-record joins happen inside the chunk fold
     // below (the span also keeps the manifest's stage order identical to the
-    // serial path, where join is a standalone stage).
+    // in-memory paths, where join is a standalone stage).
     std::optional<zeek::LogJoiner> joiner_storage;
     {
       obs::StageTimer join_timer(*ctx, "join");
@@ -295,7 +295,7 @@ StudyReport StudyPipeline::run_streaming(LogSource& ssl_source,
       corpus.merge_from(std::move(tail));
     }
 
-    // Publish + account in serial drive_stream order: ssl fully first (so a
+    // Publish + account in the text ingest's order: ssl fully first (so a
     // strict-mode SSL failure carries the identical first-error text and
     // leaves X509 counters unpublished), then x509.
     ssl_frame.publish(ctx->metrics, ssl_reader, ingest.ssl);
@@ -315,19 +315,8 @@ StudyReport StudyPipeline::run_streaming(LogSource& ssl_source,
                 ingest.ssl.records + ingest.x509.records,
                 ingest.skipped_total());
 
-  StudyReport report;
-  const std::size_t threads = par::resolve_threads(options.threads);
-  if (threads <= 1) {
-    auto pipeline_timer = stage_timer(obs, "pipeline");
-    report = analyze_corpus(corpus, obs, &dn_pool);
-  } else {
-    par::ThreadPool pool(threads);
-    if (obs != nullptr) {
-      obs->set_config("par.threads", static_cast<std::uint64_t>(pool.size()));
-    }
-    auto pipeline_timer = stage_timer(obs, "pipeline");
-    report = analyze_corpus_on_pool(pool, corpus, obs, &dn_pool);
-  }
+  auto pipeline_timer = stage_timer(obs, "pipeline");
+  StudyReport report = analyze_corpus(pool, corpus, obs, &dn_pool);
   report.ingest = std::move(ingest);
 
   ctx->metrics.set_gauge("mem.peak_rss_bytes",

@@ -1,5 +1,5 @@
 // Execution options for every StudyPipeline entry point and for the
-// standalone parallel analyzers (interception, cert_stats).
+// standalone chunked analyzers (interception, cert_stats).
 //
 // One options struct covers the whole execution envelope: ingestion policy,
 // worker count, and the streaming knobs (chunk size, checkpoint path) that
@@ -19,10 +19,12 @@ namespace certchain::core {
 struct RunOptions {
   IngestOptions ingest;
 
-  /// Worker/shard count: 1 (default) runs the serial path; 0 resolves to
-  /// hardware concurrency; N > 1 runs N-way sharded with a deterministic
-  /// merge. Any value produces byte-identical reports and identical
-  /// deterministic metrics — the contract the parallel-diff suite enforces.
+  /// Worker count: 0 resolves to hardware concurrency. A count of 1
+  /// (default) spawns no pool: every stage runs inline as one chunk. N > 1
+  /// builds an N-worker pool and splits every stage into N chunks merged in
+  /// chunk order. Either way it is the same code path, and any value
+  /// produces byte-identical reports and identical deterministic metrics —
+  /// the contract the parallel-diff suite enforces.
   std::size_t threads = 1;
 
   /// Streaming read granularity for LogSource inputs: bytes pulled from the

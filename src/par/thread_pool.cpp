@@ -11,6 +11,12 @@ std::size_t resolve_threads(std::size_t requested) {
   return hardware == 0 ? 1 : static_cast<std::size_t>(hardware);
 }
 
+std::unique_ptr<ThreadPool> make_pool(std::size_t requested) {
+  const std::size_t threads = resolve_threads(requested);
+  if (threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads);
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t count = resolve_threads(threads);
   workers_.reserve(count);

@@ -12,9 +12,11 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <condition_variable>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace certchain::par {
@@ -59,6 +61,17 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// The pool for a requested worker count (0 = hardware concurrency): null
+/// when that resolves to one worker, so single-worker callers run inline and
+/// spawn no thread; otherwise a pool of that many workers.
+std::unique_ptr<ThreadPool> make_pool(std::size_t requested);
+
+/// Chunk count for a pool-or-inline run: one chunk per worker, and exactly
+/// one chunk when `pool` is null.
+inline std::size_t chunk_count(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->size();
+}
+
 /// Splits [0, total) into exactly `chunks` contiguous index ranges — chunk k
 /// is [begin_k, end_k) with begin_0 = 0, end_{chunks-1} = total, sizes as
 /// even as integer division allows — and runs `body(chunk, begin, end)` for
@@ -71,5 +84,19 @@ void parallel_for_chunks(
     ThreadPool* pool, std::size_t total, std::size_t chunks,
     const std::function<void(std::size_t chunk, std::size_t begin,
                              std::size_t end)>& body);
+
+/// The one reduction rule of every chunked computation: the result starts as
+/// chunk 0's partial, moved in, and chunks 1..N-1 merge into it in chunk
+/// order through `merged.merge_from(std::move(partial))`. A single chunk
+/// therefore costs no merge at all. `partials` must not be empty; its
+/// elements are left moved-from.
+template <typename Partial>
+Partial merge_chunks(std::vector<Partial>& partials) {
+  Partial merged = std::move(partials.front());
+  for (std::size_t i = 1; i < partials.size(); ++i) {
+    merged.merge_from(std::move(partials[i]));
+  }
+  return merged;
+}
 
 }  // namespace certchain::par

@@ -1,11 +1,13 @@
 // Unit tests for the execution layer under the sharded pipeline
 // (DESIGN.md §10): thread resolution, the batch-barrier pool contract
 // (every task runs, writes are visible after the barrier, lowest-index
-// exception wins), and the exact chunk geometry of parallel_for_chunks.
+// exception wins), the exact chunk geometry of parallel_for_chunks, and the
+// pool-or-inline helpers (make_pool, chunk_count, merge_chunks).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -144,6 +146,46 @@ TEST(ParallelForChunks, RethrowsByChunkIndex) {
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "chunk 1");
   }
+}
+
+TEST(MakePool, OneWorkerMeansNoPool) {
+  EXPECT_EQ(make_pool(1), nullptr);
+  EXPECT_EQ(chunk_count(nullptr), 1u);
+
+  const std::unique_ptr<ThreadPool> pool = make_pool(3);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size(), 3u);
+  EXPECT_EQ(chunk_count(pool.get()), 3u);
+
+  // 0 follows the hardware: a pool exactly when it has several cores.
+  EXPECT_EQ(make_pool(0) == nullptr, resolve_threads(0) == 1);
+}
+
+/// A partial that logs how it was reduced.
+struct OrderedPartial {
+  std::vector<int> items;
+  std::size_t merges = 0;
+  void merge_from(OrderedPartial&& other) {
+    items.insert(items.end(), other.items.begin(), other.items.end());
+    merges += 1 + other.merges;
+  }
+};
+
+TEST(MergeChunks, SeedsFromChunkZeroAndMergesTheRestInOrder) {
+  std::vector<OrderedPartial> partials(4);
+  partials[0].items = {1, 2};
+  partials[1].items = {3};
+  partials[3].items = {4, 5};
+  const OrderedPartial merged = merge_chunks(partials);
+  EXPECT_EQ(merged.items, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(merged.merges, 3u);
+
+  // One chunk is the result itself: no merge runs.
+  std::vector<OrderedPartial> single(1);
+  single[0].items = {7, 8};
+  const OrderedPartial alone = merge_chunks(single);
+  EXPECT_EQ(alone.items, (std::vector<int>{7, 8}));
+  EXPECT_EQ(alone.merges, 0u);
 }
 
 }  // namespace

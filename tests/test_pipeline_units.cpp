@@ -4,6 +4,7 @@
 
 #include "../tests/helpers.hpp"
 #include "core/pipeline.hpp"
+#include "core/report_text.hpp"
 #include "obs/manifest.hpp"
 #include "obs/run_context.hpp"
 #include "util/hash.hpp"
@@ -243,6 +244,67 @@ TEST_F(PipelineUnitTest, RunFromTextPublishesIngestCountersMatchingReport) {
   EXPECT_EQ(ingest->admitted,
             report.ingest.ssl.records + report.ingest.x509.records);
   EXPECT_EQ(ingest->dropped, report.ingest.skipped_total());
+}
+
+/// Counts trace nodes named `name` anywhere under `node`.
+std::size_t count_spans(const obs::Trace::Node& node, const std::string& name) {
+  std::size_t count = node.name == name ? 1 : 0;
+  for (const auto& child : node.children) count += count_spans(*child, name);
+  return count;
+}
+
+TEST_F(PipelineUnitTest, OneWorkerRunsInlineWithoutAPool) {
+  add_connection(pki_.chain_for("pub.example"), true, "pub.example");
+  add_connection(make_chain({self_signed("appliance")}), false, "");
+  auto hybrid = pki_.chain_for("hyb.example");
+  hybrid.push_back(self_signed("corp-extra"));
+  add_connection(hybrid, true, "hyb.example");
+  add_connection(pki_.chain_for("pub.example"), true, "pub.example", 8443);
+  zeek::SslLogWriter ssl_writer;
+  for (const auto& record : ssl_) ssl_writer.add(record);
+  zeek::X509LogWriter x509_writer;
+  for (const auto& record : x509_) x509_writer.add(record);
+  const std::string ssl_text = ssl_writer.finish();
+  const std::string x509_text = x509_writer.finish();
+
+  RunOptions one_worker;
+  one_worker.threads = 1;
+  obs::RunContext inline_ctx;
+  const StudyReport inline_report = pipeline_.run(
+      StudyInput::text(ssl_text, x509_text), one_worker, &inline_ctx);
+
+  RunOptions four_workers;
+  four_workers.threads = 4;
+  obs::RunContext pooled_ctx;
+  const StudyReport pooled_report = pipeline_.run(
+      StudyInput::text(ssl_text, x509_text), four_workers, &pooled_ctx);
+
+  // One worker spawns no pool (no par.threads entry); four do.
+  EXPECT_EQ(inline_ctx.config.count("par.threads"), 0u);
+  ASSERT_EQ(pooled_ctx.config.count("par.threads"), 1u);
+  EXPECT_EQ(pooled_ctx.config.at("par.threads"), "4");
+
+  // Both runs take the same chunked path: one chunk span per worker.
+  const obs::Trace::Node& inline_root = inline_ctx.trace.root();
+  const obs::Trace::Node& pooled_root = pooled_ctx.trace.root();
+  for (const char* stage : {"ingest.ssl", "ingest.x509", "join", "categorize",
+                            "ct_compliance"}) {
+    const std::string chunk0 = std::string(stage) + ".shard0";
+    const std::string chunk1 = std::string(stage) + ".shard1";
+    const std::string chunk3 = std::string(stage) + ".shard3";
+    EXPECT_EQ(count_spans(inline_root, chunk0), 1u) << stage;
+    EXPECT_EQ(count_spans(inline_root, chunk1), 0u) << stage;
+    EXPECT_EQ(count_spans(pooled_root, chunk3), 1u) << stage;
+  }
+
+  // And the same bytes out.
+  ReportTextOptions text_options;
+  text_options.graphs = true;
+  EXPECT_EQ(render_report_text(inline_report, text_options),
+            render_report_text(pooled_report, text_options));
+  EXPECT_EQ(inline_report.ingest.ssl.records, pooled_report.ingest.ssl.records);
+  EXPECT_EQ(inline_report.ingest.x509.records, pooled_report.ingest.x509.records);
+  EXPECT_EQ(inline_ctx.metrics.counters(), pooled_ctx.metrics.counters());
 }
 
 TEST_F(PipelineUnitTest, Tls13ConnectionsCountedButNotCategorized) {
