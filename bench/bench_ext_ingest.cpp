@@ -13,10 +13,10 @@
 //
 //   ingest child   N timed iterations of {streaming TSV parse -> records;
 //                  LogJoiner + CorpusIndex fold} — the per-row hot path,
-//                  exactly as a one-worker run_text wires it: a DnPool on
-//                  both readers and the joiner, so DNs are canonicalized
-//                  once at intern time and the join works over interned ids.
-//                  Headline rows/sec and peak RSS come from here.
+//                  exactly as a one-worker run_text wires it: the readers
+//                  intern nothing, and a DnPool on the joiner canonicalizes
+//                  each distinct DN spelling once. Headline rows/sec and
+//                  peak RSS come from here.
 //   pipeline child one full StudyPipeline::run over the same text (serial),
 //                  reporting end-to-end rows/sec and the report digest as a
 //                  byte-identity anchor across harness runs.
@@ -267,12 +267,10 @@ int main(int argc, char** argv) {
       const obs::Stopwatch parse_watch;
       auto ssl_reader = zeek::make_streaming_ssl_reader(
           [&ssl](zeek::SslLogRecord record) { ssl.push_back(std::move(record)); });
-      ssl_reader.set_dn_pool(&pool);
       ssl_reader.feed(ssl_text);
       ssl_reader.finish();
       auto x509_reader = zeek::make_streaming_x509_reader(
           [&x509](zeek::X509LogRecord record) { x509.push_back(std::move(record)); });
-      x509_reader.set_dn_pool(&pool);
       x509_reader.feed(x509_text);
       x509_reader.finish();
       const double parse_ms = parse_watch.elapsed_ms();

@@ -15,7 +15,7 @@ std::string_view chain_category_name(ChainCategory category) {
 }
 
 ChainCategory categorize_chain(const CertificateChain& chain,
-                               const truststore::TrustStoreSet& stores,
+                               truststore::IssuerClassifier& classifier,
                                const InterceptionIssuerSet& interception_issuers) {
   bool any_public = false;
   bool any_non_public = false;
@@ -23,39 +23,6 @@ ChainCategory categorize_chain(const CertificateChain& chain,
     if (interception_issuers.contains(cert.issuer.canonical())) {
       return ChainCategory::kTlsInterception;
     }
-    if (stores.classify_certificate(cert) == IssuerClass::kPublicDb) {
-      any_public = true;
-    } else {
-      any_non_public = true;
-    }
-  }
-  if (any_public && any_non_public) return ChainCategory::kHybrid;
-  if (any_public) return ChainCategory::kPublicDbOnly;
-  return ChainCategory::kNonPublicDbOnly;
-}
-
-std::set<core::DnId> issuer_ids_for(const InterceptionIssuerSet& issuers,
-                                    const core::DnPool& pool) {
-  std::set<core::DnId> ids;
-  for (const std::string& canonical : issuers) {
-    const core::DnId id = pool.find_canonical(canonical);
-    if (id != core::kInvalidDnId) ids.insert(id);
-  }
-  return ids;
-}
-
-ChainCategory categorize_chain(const CertificateChain& chain,
-                               truststore::IssuerClassifier& classifier,
-                               const InterceptionIssuerSet& interception_issuers,
-                               const std::set<core::DnId>& interception_issuer_ids) {
-  bool any_public = false;
-  bool any_non_public = false;
-  for (const x509::Certificate& cert : chain) {
-    const bool intercepted =
-        cert.issuer_id != core::kInvalidDnId
-            ? interception_issuer_ids.contains(cert.issuer_id)
-            : interception_issuers.contains(cert.issuer.canonical());
-    if (intercepted) return ChainCategory::kTlsInterception;
     if (classifier.classify(cert) == IssuerClass::kPublicDb) {
       any_public = true;
     } else {
@@ -65,6 +32,13 @@ ChainCategory categorize_chain(const CertificateChain& chain,
   if (any_public && any_non_public) return ChainCategory::kHybrid;
   if (any_public) return ChainCategory::kPublicDbOnly;
   return ChainCategory::kNonPublicDbOnly;
+}
+
+ChainCategory categorize_chain(const CertificateChain& chain,
+                               const truststore::TrustStoreSet& stores,
+                               const InterceptionIssuerSet& interception_issuers) {
+  truststore::IssuerClassifier classifier(stores, nullptr);
+  return categorize_chain(chain, classifier, interception_issuers);
 }
 
 std::string_view hybrid_structure_name(HybridStructure structure) {

@@ -11,7 +11,6 @@
 #include "chain/chain.hpp"
 #include "chain/cross_sign_registry.hpp"
 #include "chain/matcher.hpp"
-#include "core/dn_pool.hpp"
 #include "truststore/issuer_classifier.hpp"
 #include "truststore/trust_store.hpp"
 
@@ -33,25 +32,17 @@ using InterceptionIssuerSet = std::set<std::string, std::less<>>;
 
 /// Categorizes one chain. Interception wins over the class mix, matching the
 /// paper's filtering order (interception chains are excluded from the
-/// non-public-DB-only and hybrid buckets).
+/// non-public-DB-only and hybrid buckets). Interception is tested on the
+/// issuer's canonical string; classification goes through `classifier`
+/// (a DnId memo load for pooled certificates, DESIGN.md §16.4).
+ChainCategory categorize_chain(const CertificateChain& chain,
+                               truststore::IssuerClassifier& classifier,
+                               const InterceptionIssuerSet& interception_issuers);
+
+/// The same verdict through a poolless classifier over `stores`.
 ChainCategory categorize_chain(const CertificateChain& chain,
                                const truststore::TrustStoreSet& stores,
                                const InterceptionIssuerSet& interception_issuers);
-
-/// Projects the interception set onto a pool: the DnIds of every canonical
-/// form the pool has interned. A DN the pool never saw cannot be the issuer
-/// of any pooled certificate, so dropping it preserves the verdicts.
-std::set<core::DnId> issuer_ids_for(const InterceptionIssuerSet& issuers,
-                                    const core::DnPool& pool);
-
-/// Integer-compare categorization over pooled certificates (DESIGN.md §16):
-/// the interception test is a DnId set probe and classification a memo load.
-/// `interception_issuers` stays as the fallback for any certificate without
-/// an interned issuer id, so verdicts are identical to the string overload.
-ChainCategory categorize_chain(const CertificateChain& chain,
-                               truststore::IssuerClassifier& classifier,
-                               const InterceptionIssuerSet& interception_issuers,
-                               const std::set<core::DnId>& interception_issuer_ids);
 
 /// Table 3 buckets for hybrid chains.
 enum class HybridStructure : std::uint8_t {

@@ -9,15 +9,6 @@ namespace {
 
 constexpr std::size_t kArenaChunkBytes = 64 * 1024;
 
-/// Mirrors zeek::parse_dn_lenient: malformed input degrades to a single
-/// CN=<raw> RDN so the row stays visible to the analysis.
-x509::DistinguishedName parse_lenient(std::string_view raw) {
-  if (auto parsed = x509::DistinguishedName::parse(raw)) return *std::move(parsed);
-  x509::DistinguishedName fallback;
-  fallback.add("CN", std::string(raw));
-  return fallback;
-}
-
 }  // namespace
 
 std::string_view DnPool::arena_store(std::string_view bytes) {
@@ -39,7 +30,6 @@ DnId DnPool::intern_parsed(x509::DistinguishedName name) {
   const DnId id = static_cast<DnId>(entries_.size());
   entries_.push_back(
       std::make_unique<x509::DistinguishedName>(std::move(name)));
-  displays_.push_back(entries_.back()->to_string());
   by_canonical_.emplace(std::string_view(entries_.back()->canonical()), id);
   return id;
 }
@@ -53,7 +43,7 @@ DnPool::Interned DnPool::intern_raw(std::string_view raw) {
 }
 
 DnPool::Interned DnPool::memo_raw(std::string_view raw) {
-  x509::DistinguishedName parsed = parse_lenient(raw);
+  x509::DistinguishedName parsed = x509::DistinguishedName::parse_lenient(raw);
   const auto canonical_it = by_canonical_.find(parsed.canonical());
   if (canonical_it == by_canonical_.end()) {
     const DnId id = intern_parsed(std::move(parsed));
@@ -77,14 +67,6 @@ DnId DnPool::intern(const x509::DistinguishedName& name) {
 DnId DnPool::find_canonical(std::string_view canonical) const {
   const auto it = by_canonical_.find(canonical);
   return it == by_canonical_.end() ? kInvalidDnId : it->second;
-}
-
-std::vector<DnId> DnPool::absorb(const DnPool& other) {
-  std::vector<DnId> id_map(other.entries_.size(), kInvalidDnId);
-  for (std::size_t i = 0; i < other.entries_.size(); ++i) {
-    id_map[i] = intern(*other.entries_[i]);
-  }
-  return id_map;
 }
 
 }  // namespace certchain::core

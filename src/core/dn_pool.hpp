@@ -1,26 +1,28 @@
-// The interned-DN pool and the Dn handle (DESIGN.md §16).
+// The interned-DN pool (DESIGN.md §16).
 //
-// Every distinguished name the ingest path sees is canonicalized exactly
-// once — at intern time — and mapped to a dense DnId. From then on
-// classification, chain categorization, interception lookups, and corpus
-// merges compare 32-bit ids instead of re-canonicalizing strings.
+// Every distinguished name the joiner sees is canonicalized exactly once —
+// at intern time — and mapped to a dense DnId. From then on issuer
+// classification memoizes per id (truststore::IssuerClassifier) instead of
+// re-probing the trust stores with canonical strings.
 //
-// Two intern entry points serve the two ingest shapes:
+// Two intern entry points:
 //
 //   intern(raw)    raw RFC 4514 bytes from a log field. A raw-bytes memo
 //                  (arena-backed keys) skips DN parsing entirely when the
 //                  same spelling recurs — the common case, since X509 rows
 //                  repeat a small set of issuers thousands of times. A
-//                  malformed DN degrades to a single CN=<raw> RDN, byte-for-
-//                  byte the lenient behaviour the joiner always had.
+//                  malformed DN degrades to a single CN=<raw> RDN
+//                  (DistinguishedName::parse_lenient), exactly as the
+//                  poolless joiner parses it.
 //   intern(name)   an already-parsed DistinguishedName, keyed by its
 //                  canonical form.
 //
-// Ids are pool-local. The chunked text ingest lets shard 0 intern into the
-// run's pool and gives every later shard its own pool, merged with absorb(),
-// which returns an old-id -> new-id map the merge loop applies to the
-// shard's records — the id-remap merge protocol that keeps every worker
-// count byte-identical to a single whole-stream reader.
+// zeek::LogJoiner is the one place the pipeline interns: every batch engine
+// (records, text, streamed) builds its joiner on the coordinator over the
+// X509 rows in stream order, so each run's pool is written by one thread
+// before any analysis chunk reads it, and ids come out the same in every
+// engine; the serving state feeds its joiner under its writer lock. Ids are
+// pool-local and only ever used for memo lookups and equality tests.
 //
 // Distinct spellings that canonicalize equally ("CN=Example" vs
 // "cn=example") share one id but keep their own parsed form: name_for_raw()
@@ -81,15 +83,10 @@ class DnPool {
   /// Canonical form of `id`; a view into pool-owned storage.
   std::string_view canonical(DnId id) const { return entries_[id]->canonical(); }
 
-  /// RFC 4514 display form of `id` (materialized on first intern).
-  std::string_view display(DnId id) const { return displays_[id]; }
+  /// RFC 4514 display form of `id`.
+  std::string display(DnId id) const { return entries_[id]->to_string(); }
 
   std::size_t size() const { return entries_.size(); }
-
-  /// Merges `other` into this pool. Returns the id-map: result[i] is the id
-  /// in *this* pool of other's id i. Applying it to a shard's records is the
-  /// shard-merge protocol (pipeline_parallel.cpp).
-  std::vector<DnId> absorb(const DnPool& other);
 
  private:
   /// Bump-allocating byte arena for memo keys; views into it stay valid for
@@ -102,7 +99,6 @@ class DnPool {
   // Entries are heap-allocated so views into their canonical strings survive
   // deque growth and pool moves.
   std::deque<std::unique_ptr<x509::DistinguishedName>> entries_;
-  std::deque<std::string> displays_;  // entries_[i].to_string(), same index
   // Variant parses: spellings whose canonical form was already interned.
   std::deque<std::unique_ptr<x509::DistinguishedName>> variants_;
 
@@ -112,44 +108,6 @@ class DnPool {
   std::vector<std::unique_ptr<char[]>> arena_chunks_;
   std::size_t arena_used_ = 0;
   std::size_t arena_capacity_ = 0;
-};
-
-/// A pool-qualified DN handle — the public vocabulary for issuer identity
-/// across classify_issuer / categorize_chain / InterceptionDetector. Same
-/// pool: equality is one integer compare. Different pools (or detached
-/// handles): falls back to canonical-view comparison, so handles stay safe
-/// to mix.
-class Dn {
- public:
-  Dn() = default;
-  Dn(DnId id, const DnPool* pool) : id_(id), pool_(pool) {}
-
-  DnId id() const { return id_; }
-  const DnPool* pool() const { return pool_; }
-  bool valid() const { return pool_ != nullptr && id_ != kInvalidDnId; }
-
-  /// Canonical form (matching key). Empty for an invalid handle.
-  std::string_view view() const {
-    return valid() ? pool_->canonical(id_) : std::string_view{};
-  }
-
-  /// RFC 4514 display form.
-  std::string_view display() const {
-    return valid() ? pool_->display(id_) : std::string_view{};
-  }
-
-  /// The parsed name (valid handles only).
-  const x509::DistinguishedName& name() const { return pool_->name(id_); }
-
-  friend bool operator==(const Dn& a, const Dn& b) {
-    if (a.pool_ == b.pool_) return a.id_ == b.id_;
-    return a.view() == b.view();
-  }
-  friend bool operator!=(const Dn& a, const Dn& b) { return !(a == b); }
-
- private:
-  DnId id_ = kInvalidDnId;
-  const DnPool* pool_ = nullptr;
 };
 
 }  // namespace certchain::core

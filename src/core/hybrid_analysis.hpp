@@ -114,9 +114,8 @@ struct HybridReport {
 
 class HybridAnalyzer {
  public:
-  /// A non-null `dn_pool` routes the Figure 4 issuer-class lookups through a
-  /// DnId-memoized IssuerClassifier (DESIGN.md §16); certificates without an
-  /// interned issuer id fall back to the string path, so the report is
+  /// The Figure 4 issuer-class lookups go through one IssuerClassifier over
+  /// `dn_pool` (may be null; DESIGN.md §16.4), so the report is
   /// byte-identical with or without the pool.
   HybridAnalyzer(const truststore::TrustStoreSet& stores,
                  const ct::CtLogSet& ct_logs,
@@ -127,13 +126,12 @@ class HybridAnalyzer {
 
   HybridReport analyze(const std::vector<const ChainObservation*>& hybrid_chains) const;
 
-  /// Builds the Figure 4 column for one analyzed chain. `classifier`, when
-  /// given, memoizes the per-run issuer-class lookups; analyze() threads one
-  /// instance through every column so the memo carries across chains.
+  /// Builds the Figure 4 column for one analyzed chain. analyze() threads
+  /// one `classifier` through every column so its memo carries across chains.
   StructureColumn build_structure_column(
       const ChainObservation& observation,
       const chain::HybridClassification& cls,
-      truststore::IssuerClassifier* classifier = nullptr) const;
+      truststore::IssuerClassifier& classifier) const;
 
  private:
   const truststore::TrustStoreSet* stores_;

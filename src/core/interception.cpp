@@ -69,22 +69,6 @@ bool InterceptionDetector::is_interception_candidate(
   return true;
 }
 
-bool InterceptionDetector::is_interception_candidate(
-    core::Dn leaf_issuer, const util::TimeRange& leaf_validity,
-    std::string_view domain) const {
-  if (!leaf_issuer.valid() || domain.empty()) return false;
-  if (stores_->classify_issuer(leaf_issuer) ==
-      truststore::IssuerClass::kPublicDb) {
-    return false;
-  }
-  const auto ct_issuers = ct_logs_->issuers_for_domain(domain, leaf_validity);
-  if (ct_issuers.empty()) return false;
-  for (const x509::DistinguishedName& recorded : ct_issuers) {
-    if (recorded.matches(leaf_issuer.name())) return false;
-  }
-  return true;
-}
-
 namespace {
 
 /// Partial detection state: the per-chain fold target, one per chunk of

@@ -113,14 +113,6 @@ class InterceptionDetector {
   bool is_interception_candidate(const chain::CertificateChain& chain,
                                  std::string_view domain) const;
 
-  /// Pool-handle primitive: the same test with the leaf's issuer given as a
-  /// Dn (classification goes through the canonical-form overload, the CT
-  /// cross-reference through the pooled parse). Invalid handles are never
-  /// candidates.
-  bool is_interception_candidate(core::Dn leaf_issuer,
-                                 const util::TimeRange& leaf_validity,
-                                 std::string_view domain) const;
-
  private:
   const truststore::TrustStoreSet* stores_;
   const ct::CtLogSet* ct_logs_;

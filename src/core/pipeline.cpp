@@ -14,8 +14,6 @@
 #include "core/pipeline.hpp"
 
 #include <memory>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "core/pipeline_detail.hpp"
@@ -75,23 +73,20 @@ StudyReport StudyPipeline::run(const StudyInput& input, const RunOptions& option
 StudyReport StudyPipeline::run_records(par::ThreadPool* pool,
                                        const std::vector<zeek::SslLogRecord>& ssl,
                                        const std::vector<zeek::X509LogRecord>& x509,
-                                       obs::RunContext* obs,
-                                       DnPool* dn_pool) const {
+                                       obs::RunContext* obs) const {
   auto pipeline_timer = stage_timer(obs, "pipeline");
   const std::size_t chunks = par::chunk_count(pool);
 
-  // Stage 0: the joiner index is built once — on the coordinator, against
-  // the run's DnPool (the caller's, or a run-local one), so the pool is
-  // complete and read-only before any chunk touches it — and shared
-  // read-only. Each distinct DN spelling parses once, and every joined
-  // certificate is fingerprint-sealed and id-stamped before the fold sees
-  // it. SSL rows fold into per-chunk corpora merged in chunk order
-  // (order-independent reductions + cross-chunk certificate dedupe inside
-  // merge_from).
-  DnPool local_pool;
-  DnPool* run_pool = dn_pool != nullptr ? dn_pool : &local_pool;
+  // Stage 0: the joiner index is built once, on the coordinator, and shared
+  // read-only. The joiner is the run's one intern point (DESIGN.md §16.3):
+  // the run pool is complete before any chunk reads it. Each distinct DN
+  // spelling parses once, and every joined certificate is fingerprint-sealed
+  // and id-stamped before the fold sees it. SSL rows fold into per-chunk
+  // corpora merged in chunk order (order-independent reductions +
+  // cross-chunk certificate dedupe inside merge_from).
+  DnPool dn_pool;
   zeek::LogJoiner joiner;
-  joiner.set_dn_pool(run_pool);
+  joiner.set_dn_pool(&dn_pool);
   for (const zeek::X509LogRecord& record : x509) joiner.add(record);
   CorpusIndex corpus;
   {
@@ -113,7 +108,7 @@ StudyReport StudyPipeline::run_records(par::ThreadPool* pool,
     }
     corpus = par::merge_chunks(partials);
   }
-  return analyze_corpus(pool, corpus, obs, run_pool);
+  return analyze_corpus(pool, corpus, obs, &dn_pool);
 }
 
 StudyReport StudyPipeline::analyze(const CorpusIndex& corpus,
@@ -160,37 +155,26 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
   // Stage 2: chain categorization + usage statistics + Figure 1 data, as
   // per-chunk folds merged in range order — reproducing the whole-range fold
   // exactly, including slice vector order (what the structure stage
-  // iterates). With a DnPool the per-certificate work is a DnId set probe
-  // plus a memo load; poolless corpora keep the canonical-string path, with
-  // identical verdicts.
+  // iterates). Classification is a memo load for pooled certificates and a
+  // canonical-string probe otherwise, with identical verdicts.
   detail::CategorySlices slices;
   {
     auto timer = stage_timer(obs, "categorize");
-    std::set<DnId> interception_ids;
-    if (dn_pool != nullptr) {
-      interception_ids = chain::issuer_ids_for(interception_issuers, *dn_pool);
-    }
     std::vector<detail::CategorizeFold> folds(chunks);
     std::vector<double> wall(chunks, 0.0);
     par::parallel_for_chunks(
         pool, observations.size(), chunks,
-        [&folds, &wall, &observations, &interception_issuers,
-         &interception_ids, dn_pool, this](std::size_t chunk, std::size_t begin,
-                                           std::size_t end) {
+        [&folds, &wall, &observations, &interception_issuers, dn_pool, this](
+            std::size_t chunk, std::size_t begin, std::size_t end) {
           obs::Stopwatch watch;
           // One classifier per chunk: its memo mutates on lookup, so
-          // instances are not shared across workers; the pool and the id set
-          // are shared read-only.
-          std::optional<truststore::IssuerClassifier> classifier;
-          if (dn_pool != nullptr) classifier.emplace(*stores_, *dn_pool);
+          // instances are not shared across workers; the pool is shared
+          // read-only.
+          truststore::IssuerClassifier classifier(*stores_, dn_pool);
           for (std::size_t i = begin; i < end; ++i) {
-            const chain::CertificateChain& delivered = observations[i]->chain;
-            folds[chunk].add(
-                *observations[i],
-                classifier ? chain::categorize_chain(delivered, *classifier,
-                                                     interception_issuers,
-                                                     interception_ids)
-                           : chain::categorize_chain(delivered, *stores_,
+            folds[chunk].add(*observations[i],
+                             chain::categorize_chain(observations[i]->chain,
+                                                     classifier,
                                                      interception_issuers));
           }
           wall[chunk] = watch.elapsed_ms();

@@ -138,10 +138,10 @@ class StudyPipeline {
   /// §12): svc::ServiceState keeps a live CorpusIndex warm across
   /// ingest_append calls and re-analyzes it here — producing exactly the
   /// StudyReport a batch run over the same folded connections would, which
-  /// is what the serve-vs-batch differential suite asserts. When the corpus
-  /// certificates carry interned ids, pass their pool as `dn_pool` and
-  /// categorization runs on integer compares (identical verdicts, DESIGN.md
-  /// §16); a null pool keeps the canonical-string path.
+  /// is what the serve-vs-batch differential suite asserts. `dn_pool` is the
+  /// pool the corpus certificates' ids came from (the joiner's), or null:
+  /// issuer classification then memoizes per DnId or takes the canonical-
+  /// string path, with identical verdicts either way (DESIGN.md §16.4).
   StudyReport analyze(const CorpusIndex& corpus, obs::RunContext* obs = nullptr,
                       const DnPool* dn_pool = nullptr) const;
 
@@ -153,21 +153,20 @@ class StudyPipeline {
   // Per-input-kind drivers behind run()'s dispatch. `pool` carries the
   // worker count; null runs every stage inline as one chunk.
   //
-  // `dn_pool` (optional) is the run's interning pool: the joiner parses each
-  // distinct DN spelling once through it and the analysis stages compare
-  // ids. The text path passes the pool its readers interned into; a null
-  // pool makes run_records create a run-local one.
+  // run_records owns the run's DnPool: its joiner is the one place the run
+  // interns DNs (DESIGN.md §16.3), and the analysis stages classify through
+  // it. run_text parses the text into records and hands them over.
   StudyReport run_records(par::ThreadPool* pool,
                           const std::vector<zeek::SslLogRecord>& ssl,
                           const std::vector<zeek::X509LogRecord>& x509,
-                          obs::RunContext* obs, DnPool* dn_pool = nullptr) const;
+                          obs::RunContext* obs) const;
   StudyReport run_text(par::ThreadPool* pool, std::string_view ssl_log_text,
                        std::string_view x509_log_text,
                        const IngestOptions& options, obs::RunContext* obs) const;
   /// The bounded-memory streaming engine (pipeline_stream.cpp): X509 is
-  /// streamed into the joiner index first, then SSL chunk by chunk — each
-  /// chunk folds into a shard-like partial corpus merged in arrival order —
-  /// with optional checkpoint/resume (DESIGN.md §11).
+  /// streamed into the joiner index first, then SSL chunk by chunk, each
+  /// chunk folded straight into the run corpus, with optional
+  /// checkpoint/resume (DESIGN.md §11).
   StudyReport run_streaming(par::ThreadPool* pool, LogSource& ssl_source,
                             LogSource& x509_source, const RunOptions& options,
                             obs::RunContext* obs) const;

@@ -18,6 +18,54 @@ void attach_shard_span(obs::RunContext* obs, const char* stage,
       std::string(stage) + ".shard" + std::to_string(chunk), wall_ms);
 }
 
+void account_ingest_stream(const std::vector<ReaderTally>& tallies,
+                           const char* stream_name, IngestMode mode,
+                           obs::MetricsRegistry& metrics,
+                           IngestStreamStats& stats, IngestReport& report) {
+  ReaderTally total;
+  for (const ReaderTally& tally : tallies) {
+    total.bytes_consumed += tally.bytes_consumed;
+    total.lines += tally.lines;
+    total.records += tally.records;
+    total.rows_malformed += tally.rows_malformed;
+    total.lines_skipped += tally.lines_skipped;
+    total.rotations += tally.rotations;
+  }
+  const std::string prefix = std::string("ingest.") + stream_name + ".";
+  const auto publish = [&metrics, &prefix](const char* leaf,
+                                           std::uint64_t value) {
+    const std::string name = prefix + leaf;
+    const std::uint64_t before = metrics.counter(name);
+    metrics.count(name, value);
+    return static_cast<std::size_t>(metrics.counter(name) - before);
+  };
+  stats.bytes = publish("bytes_consumed", total.bytes_consumed);
+  stats.lines = publish("lines", total.lines);
+  stats.records = publish("records", total.records);
+  stats.malformed_rows = publish("rows_malformed", total.rows_malformed);
+  stats.skipped_lines = publish("lines_skipped", total.lines_skipped);
+  stats.rotations = publish("rotations", total.rotations);
+
+  // Stream-order concatenation of the per-reader samples, so the first
+  // kMaxSampleErrors (and the strict-mode first error) match a whole-stream
+  // reader's at every shard count.
+  for (const ReaderTally& tally : tallies) {
+    for (const zeek::ReaderLineError& error : tally.errors) {
+      if (report.sample_errors.size() >= IngestReport::kMaxSampleErrors) break;
+      report.sample_errors.push_back(std::string(stream_name) + " line " +
+                                     std::to_string(error.line_number) + ": " +
+                                     error.message);
+    }
+  }
+  if (mode != IngestMode::kStrict) return;
+  for (const ReaderTally& tally : tallies) {
+    if (tally.errors.empty()) continue;
+    const zeek::ReaderLineError& first = tally.errors.front();
+    throw IngestError(std::string(stream_name) + " log line " +
+                      std::to_string(first.line_number) + ": " + first.message);
+  }
+}
+
 void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,
                    std::uint64_t admitted, std::uint64_t dropped) {
   if (obs == nullptr) return;

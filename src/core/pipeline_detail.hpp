@@ -4,8 +4,8 @@
 // The differential guarantee — every thread count and every input kind
 // produce byte-identical reports and identical deterministic counters — is
 // cheap to uphold because all of them flow through the same code here: the
-// per-chain categorization fold, and every counter-publishing block. Not part
-// of the public API.
+// reader accounting of both ingest engines, the per-chain categorization
+// fold, and every counter-publishing block. Not part of the public API.
 #pragma once
 
 #include <map>
@@ -16,6 +16,7 @@
 
 #include "core/pipeline.hpp"
 #include "obs/run_context.hpp"
+#include "zeek/log_stream.hpp"
 
 namespace certchain::core::detail {
 
@@ -28,6 +29,41 @@ std::optional<obs::StageTimer> stage_timer(obs::RunContext* obs,
 /// thread-safe. A no-op without obs.
 void attach_shard_span(obs::RunContext* obs, const char* stage,
                        std::size_t chunk, double wall_ms);
+
+/// One reader's accounting after finish(): the six `ingest.<stream>.*`
+/// counters and its capped sample of line errors. The text ingest keeps one
+/// per shard, the streaming engine one per stream.
+struct ReaderTally {
+  std::uint64_t bytes_consumed = 0;
+  std::uint64_t lines = 0;
+  std::uint64_t records = 0;
+  std::uint64_t rows_malformed = 0;
+  std::uint64_t lines_skipped = 0;
+  std::uint64_t rotations = 0;
+  std::vector<zeek::ReaderLineError> errors;
+
+  ReaderTally() = default;
+  template <typename Reader>
+  explicit ReaderTally(const Reader& reader)
+      : bytes_consumed(reader.bytes_consumed()),
+        lines(reader.lines_seen()),
+        records(reader.records_emitted()),
+        rows_malformed(reader.malformed_rows()),
+        lines_skipped(reader.lines_skipped()),
+        rotations(reader.rotations_seen()),
+        errors(reader.errors()) {}
+};
+
+/// Accounts one ingested stream from its readers' tallies, given in stream
+/// order (shard order for the text ingest). Publishes the
+/// `ingest.<stream>.*` counters and fills `stats` back FROM the registry —
+/// the single source, so the report's data-quality section and the metrics
+/// export cannot disagree. Appends the errors to the capped sample; in
+/// strict mode raises IngestError carrying the stream's first error.
+void account_ingest_stream(const std::vector<ReaderTally>& tallies,
+                           const char* stream_name, IngestMode mode,
+                           obs::MetricsRegistry& metrics,
+                           IngestStreamStats& stats, IngestReport& report);
 
 /// Publishes the reserved manifest triple for one stage.
 void publish_stage(obs::RunContext* obs, const char* stage, std::uint64_t in,

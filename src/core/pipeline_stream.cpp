@@ -11,12 +11,15 @@
 //   A running FNV-1a digest fingerprints the stream for checkpoint resume.
 //
 //   Phase B — SSL: the dominant stream (one row per connection) is read
-//   chunk by chunk. Each chunk's records are joined and folded into a
-//   shard-like partial CorpusIndex which is merged into the run corpus in
-//   arrival order — the same merge the chunked join uses (DESIGN.md §10),
-//   and merging consecutive partials in order reproduces the whole-stream
-//   fold exactly. Peak residency is O(chunk_bytes) + the deduplicated corpus
-//   + the joiner index, never O(total SSL bytes).
+//   chunk by chunk, and each record is joined and folded straight into the
+//   run corpus as the reader emits it — the fold a whole-stream pass makes,
+//   so chunk boundaries leave no trace in the corpus. Peak residency is
+//   O(chunk_bytes) + the deduplicated corpus + the joiner index, never
+//   O(total SSL bytes).
+//
+// The readers intern nothing; the joiner is the run's one intern point
+// (DESIGN.md §16.3), and both streams are accounted by the same helper as
+// the text ingest (detail::account_ingest_stream).
 //
 // After every SSL chunk the complete fold state is checkpointable
 // (stream_checkpoint.hpp); a killed run re-ingests the small X509 stream,
@@ -49,62 +52,6 @@ using detail::publish_stage;
 using detail::stage_timer;
 
 namespace {
-
-/// Bounds-checked counter snapshot/delta helper matching the text ingest's
-/// single-source discipline: publish the reader's totals, then read the
-/// stats back FROM the registry.
-struct StreamCounterFrame {
-  std::string prefix;
-  std::uint64_t bytes = 0, lines = 0, records = 0;
-  std::uint64_t malformed = 0, skipped = 0, rotations = 0;
-
-  StreamCounterFrame(obs::MetricsRegistry& metrics, const char* stream_name)
-      : prefix(std::string("ingest.") + stream_name + ".") {
-    bytes = metrics.counter(prefix + "bytes_consumed");
-    lines = metrics.counter(prefix + "lines");
-    records = metrics.counter(prefix + "records");
-    malformed = metrics.counter(prefix + "rows_malformed");
-    skipped = metrics.counter(prefix + "lines_skipped");
-    rotations = metrics.counter(prefix + "rotations");
-  }
-
-  template <typename Reader>
-  void publish(obs::MetricsRegistry& metrics, const Reader& reader,
-               IngestStreamStats& stats) const {
-    metrics.count(prefix + "bytes_consumed", reader.bytes_consumed());
-    metrics.count(prefix + "lines", reader.lines_seen());
-    metrics.count(prefix + "records", reader.records_emitted());
-    metrics.count(prefix + "rows_malformed", reader.malformed_rows());
-    metrics.count(prefix + "lines_skipped", reader.lines_skipped());
-    metrics.count(prefix + "rotations", reader.rotations_seen());
-
-    stats.bytes = metrics.counter(prefix + "bytes_consumed") - bytes;
-    stats.lines = metrics.counter(prefix + "lines") - lines;
-    stats.records = metrics.counter(prefix + "records") - records;
-    stats.malformed_rows = metrics.counter(prefix + "rows_malformed") - malformed;
-    stats.skipped_lines = metrics.counter(prefix + "lines_skipped") - skipped;
-    stats.rotations = metrics.counter(prefix + "rotations") - rotations;
-  }
-};
-
-/// Appends a reader's recorded errors to the capped sample and raises the
-/// strict-mode failure — the same text, in the same stream order (ssl before
-/// x509), as the in-memory text ingest.
-template <typename Reader>
-void account_stream_errors(const Reader& reader, const char* stream_name,
-                           const IngestOptions& options, IngestReport& report) {
-  for (const auto& error : reader.errors()) {
-    if (report.sample_errors.size() >= IngestReport::kMaxSampleErrors) break;
-    report.sample_errors.push_back(std::string(stream_name) + " line " +
-                                   std::to_string(error.line_number) + ": " +
-                                   error.message);
-  }
-  if (options.mode == IngestMode::kStrict && reader.lines_skipped() > 0) {
-    const auto& first = reader.errors().front();
-    throw IngestError(std::string(stream_name) + " log line " +
-                      std::to_string(first.line_number) + ": " + first.message);
-  }
-}
 
 /// Re-reads the already-folded SSL prefix and checks its running digest
 /// against the checkpoint. On success the source is positioned exactly at
@@ -150,13 +97,9 @@ StudyReport StudyPipeline::run_streaming(par::ThreadPool* pool,
   ingest.populated = true;
   ingest.mode = options.ingest.mode;
 
-  const StreamCounterFrame ssl_frame(ctx->metrics, "ssl");
-  const StreamCounterFrame x509_frame(ctx->metrics, "x509");
-
-  // The run's DnPool: one sequential consumer, so the readers and the
-  // incremental joiner share it directly — no shard pools, no remap. Its
-  // residency is bounded by the distinct-DN population, far below the
-  // certificate index this engine already keeps.
+  // The run's DnPool, filled by the joiner alone. Its residency is bounded
+  // by the distinct-DN population, far below the certificate index this
+  // engine already keeps.
   DnPool dn_pool;
   CorpusIndex corpus;
   std::string buffer;
@@ -169,7 +112,6 @@ StudyReport StudyPipeline::run_streaming(par::ThreadPool* pool,
         [&x509_records](zeek::X509LogRecord record) {
           x509_records.push_back(std::move(record));
         });
-    x509_reader.set_dn_pool(&dn_pool);
     std::uint64_t x509_digest = util::fnv1a64({});
     {
       std::uint64_t chunk_index = 0;
@@ -205,12 +147,10 @@ StudyReport StudyPipeline::run_streaming(par::ThreadPool* pool,
     x509_records.clear();
     x509_records.shrink_to_fit();
 
-    CorpusIndex* current = nullptr;
     auto ssl_reader = zeek::make_streaming_ssl_reader(
-        [&joiner, &current](zeek::SslLogRecord record) {
-          current->add(joiner, record);
+        [&joiner, &corpus](zeek::SslLogRecord record) {
+          corpus.add(joiner, record);
         });
-    ssl_reader.set_dn_pool(&dn_pool);
 
     std::uint64_t ssl_digest = util::fnv1a64({});
     std::uint64_t ssl_offset = 0;
@@ -261,11 +201,7 @@ StudyReport StudyPipeline::run_streaming(par::ThreadPool* pool,
       if (got == 0) break;
       ssl_digest = util::fnv1a64_continue(ssl_digest, buffer);
       ssl_offset += got;
-      CorpusIndex partial;
-      current = &partial;
       ssl_reader.feed(buffer);
-      current = nullptr;
-      corpus.merge_from(std::move(partial));
       ctx->metrics.count("stream.chunk.ssl");
       ctx->metrics.count("stream.chunk.ssl_bytes", got);
       ctx->trace.attach_closed("ingest.ssl.chunk" + std::to_string(chunks_done),
@@ -286,22 +222,18 @@ StudyReport StudyPipeline::run_streaming(par::ThreadPool* pool,
         }
       }
     }
-    {
-      // finish() may still emit the trailing unterminated line's record.
-      CorpusIndex tail;
-      current = &tail;
-      ssl_reader.finish();
-      current = nullptr;
-      corpus.merge_from(std::move(tail));
-    }
+    // finish() may still emit the trailing unterminated line's record.
+    ssl_reader.finish();
 
-    // Publish + account in the text ingest's order: ssl fully first (so a
-    // strict-mode SSL failure carries the identical first-error text and
-    // leaves X509 counters unpublished), then x509.
-    ssl_frame.publish(ctx->metrics, ssl_reader, ingest.ssl);
-    account_stream_errors(ssl_reader, "ssl", options.ingest, ingest);
-    x509_frame.publish(ctx->metrics, x509_reader, ingest.x509);
-    account_stream_errors(x509_reader, "x509", options.ingest, ingest);
+    // Account in the text ingest's order: ssl fully first (so a strict-mode
+    // SSL failure carries the identical first-error text and leaves X509
+    // counters unpublished), then x509.
+    detail::account_ingest_stream({detail::ReaderTally(ssl_reader)}, "ssl",
+                                  options.ingest.mode, ctx->metrics,
+                                  ingest.ssl, ingest);
+    detail::account_ingest_stream({detail::ReaderTally(x509_reader)}, "x509",
+                                  options.ingest.mode, ctx->metrics,
+                                  ingest.x509, ingest);
 
     // The fold is complete and valid; the checkpoint has served its purpose.
     if (!options.checkpoint_path.empty()) {

@@ -19,13 +19,19 @@ void sum_matching_nodes(const Trace::Node& node, std::string_view name,
   }
 }
 
+/// Appends the stage names among `node`'s descendants to `order`, each at
+/// its first appearance. Only stage names are collected: a streamed run
+/// attaches one span per chunk, and a linear search over every distinct span
+/// name made this quadratic in the chunk count.
 void collect_trace_order(const Trace::Node& node,
+                         const std::map<std::string, StageManifest>& stages,
                          std::vector<std::string>& order) {
   for (const auto& child : node.children) {
-    if (std::find(order.begin(), order.end(), child->name) == order.end()) {
+    if (stages.contains(child->name) &&
+        std::find(order.begin(), order.end(), child->name) == order.end()) {
       order.push_back(child->name);
     }
-    collect_trace_order(*child, order);
+    collect_trace_order(*child, stages, order);
   }
 }
 
@@ -75,7 +81,7 @@ RunManifest build_run_manifest(const RunContext& context) {
   // Order stages by first appearance in the trace (pipeline order); stages
   // that never opened a span follow alphabetically.
   std::vector<std::string> trace_order;
-  collect_trace_order(context.trace.root(), trace_order);
+  collect_trace_order(context.trace.root(), by_name, trace_order);
   for (const std::string& name : trace_order) {
     const auto it = by_name.find(name);
     if (it == by_name.end()) continue;

@@ -1,14 +1,17 @@
-// DnId-memoized issuer classification (DESIGN.md §16).
+// Issuer classification, memoized per interned DN (DESIGN.md §16.4).
 //
-// classify_issuer() is a handful of ordered-map probes per call; the analysis
-// stages invoke it once per certificate per chain, and a campus corpus
-// repeats the same few hundred issuers millions of times. IssuerClassifier
-// memoizes the verdict per interned DnId — a vector indexed by the id — so
-// every repeat is one array load. Certificates that never went through a
-// pool (no valid issuer_id) fall back to the uncached string path, which
-// keeps the classifier safe to use over mixed corpora.
+// This class is the one place that decides between a certificate's interned
+// issuer id and its canonical issuer string. classify_issuer() is a handful
+// of ordered-map probes per call; the analysis stages invoke it once per
+// certificate per chain, and a campus corpus repeats the same few hundred
+// issuers millions of times. With a pool, IssuerClassifier memoizes the
+// verdict per DnId — a vector indexed by the id — so every repeat is one
+// array load. A certificate without an issuer id from this pool, or any
+// certificate when the pool is null, takes the uncached string path, with
+// the same verdict. Callers therefore always hold a classifier and never
+// branch on whether a pool exists.
 //
-// The memo mutates on lookup, so sharded stages use one instance per shard
+// The memo mutates on lookup, so sharded stages use one instance per chunk
 // (the pool itself is read-only and shared).
 #pragma once
 
@@ -23,39 +26,24 @@ namespace certchain::truststore {
 
 class IssuerClassifier {
  public:
-  IssuerClassifier(const TrustStoreSet& stores, const core::DnPool& pool)
-      : stores_(&stores), pool_(&pool), memo_(pool.size(), kUnknown) {}
+  /// `pool` may be null; it must be the pool the certificates' ids came from.
+  IssuerClassifier(const TrustStoreSet& stores, const core::DnPool* pool)
+      : stores_(&stores), pool_(pool) {}
 
-  /// Classification of the interned DN `id`, memoized. `id` must come from
-  /// this classifier's pool; an id the pool has never minted (including
-  /// kInvalidDnId) classifies as non-public-DB, matching what the string path
-  /// returns for a name absent from every database.
-  IssuerClass classify(core::DnId id) {
-    if (id >= pool_->size()) return IssuerClass::kNonPublicDb;
-    if (id >= memo_.size()) memo_.resize(pool_->size(), kUnknown);
-    std::uint8_t& slot = memo_[id];
+  /// Classification of a certificate = classification of its issuer.
+  IssuerClass classify(const x509::Certificate& cert) {
+    if (pool_ == nullptr || cert.issuer_id >= pool_->size()) {
+      return stores_->classify_certificate(cert);
+    }
+    if (cert.issuer_id >= memo_.size()) memo_.resize(pool_->size(), kUnknown);
+    std::uint8_t& slot = memo_[cert.issuer_id];
     if (slot == kUnknown) {
-      slot = stores_->classify_issuer(pool_->canonical(id)) ==
-                     IssuerClass::kPublicDb
+      slot = stores_->classify_certificate(cert) == IssuerClass::kPublicDb
                  ? kPublic
                  : kNonPublic;
     }
     return slot == kPublic ? IssuerClass::kPublicDb : IssuerClass::kNonPublicDb;
   }
-
-  IssuerClass classify(core::Dn issuer) {
-    return issuer.valid() ? classify(issuer.id())
-                          : stores_->classify_issuer(issuer.view());
-  }
-
-  /// Classification of a certificate = classification of its issuer; uses
-  /// the interned id when the certificate carries one.
-  IssuerClass classify(const x509::Certificate& cert) {
-    if (cert.issuer_id != core::kInvalidDnId) return classify(cert.issuer_id);
-    return stores_->classify_certificate(cert);
-  }
-
-  const core::DnPool& pool() const { return *pool_; }
 
  private:
   static constexpr std::uint8_t kUnknown = 0;

@@ -22,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/dn_pool.hpp"
 #include "x509/certificate.hpp"
 
 namespace certchain::truststore {
@@ -132,13 +131,10 @@ class TrustStoreSet {
 
   /// §3.2.1: public-DB iff the issuer name appears in >= 1 root store or in
   /// an eligible CCADB record. The canonical-form overload is the primitive;
-  /// the DN and pool-handle overloads delegate to it.
+  /// the DN overload delegates to it.
   IssuerClass classify_issuer(std::string_view issuer_canonical) const;
   IssuerClass classify_issuer(const x509::DistinguishedName& issuer_name) const {
     return classify_issuer(std::string_view(issuer_name.canonical()));
-  }
-  IssuerClass classify_issuer(core::Dn issuer) const {
-    return classify_issuer(issuer.view());
   }
 
   /// Classification of a certificate = classification of its issuer.

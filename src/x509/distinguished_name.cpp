@@ -130,6 +130,13 @@ std::optional<DistinguishedName> DistinguishedName::parse(std::string_view text)
   return DistinguishedName(std::move(rdns));
 }
 
+DistinguishedName DistinguishedName::parse_lenient(std::string_view text) {
+  if (auto parsed = parse(text)) return *std::move(parsed);
+  DistinguishedName fallback;
+  fallback.add("CN", std::string(text));
+  return fallback;
+}
+
 DistinguishedName DistinguishedName::parse_or_die(std::string_view text) {
   auto parsed = parse(text);
   if (!parsed) {

@@ -37,6 +37,11 @@ class DistinguishedName {
   /// nullopt on malformed input (dangling escape, missing '=').
   static std::optional<DistinguishedName> parse(std::string_view text);
 
+  /// parse() for log fields: malformed input degrades to a single CN=<raw>
+  /// RDN instead of failing, so the row stays visible to the analysis (how
+  /// string-level tooling treats an unparseable issuer or subject).
+  static DistinguishedName parse_lenient(std::string_view text);
+
   /// Convenience for tests and generators; aborts on malformed input.
   static DistinguishedName parse_or_die(std::string_view text);
 

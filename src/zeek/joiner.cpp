@@ -7,13 +7,6 @@ namespace certchain::zeek {
 
 namespace {
 
-x509::DistinguishedName parse_dn_lenient(const std::string& text) {
-  if (auto parsed = x509::DistinguishedName::parse(text)) return *std::move(parsed);
-  x509::DistinguishedName fallback;
-  fallback.add("CN", text);  // keep the raw string visible to the analysis
-  return fallback;
-}
-
 crypto::KeyAlgorithm parse_key_alg(const std::string& name) {
   for (const auto alg :
        {crypto::KeyAlgorithm::kRsa2048, crypto::KeyAlgorithm::kRsa4096,
@@ -54,8 +47,8 @@ x509::Certificate certificate_from_record(const X509LogRecord& record,
     cert.issuer_id = issuer.id;
     cert.subject_id = subject.id;
   } else {
-    cert.issuer = parse_dn_lenient(record.issuer);
-    cert.subject = parse_dn_lenient(record.subject);
+    cert.issuer = x509::DistinguishedName::parse_lenient(record.issuer);
+    cert.subject = x509::DistinguishedName::parse_lenient(record.subject);
   }
   cert.validity = util::TimeRange{record.not_before, record.not_after};
   cert.public_key.algorithm = parse_key_alg(record.key_alg);

@@ -27,10 +27,10 @@ struct JoinedConnection {
 };
 
 /// Converts one X509.log row to a key-less x509::Certificate. Issuer/subject
-/// strings that fail DN parsing degrade to a single unparsed-CN RDN so the
-/// pipeline still sees the row (mirrors how string-level tooling behaves).
-/// With a pool, DN parsing is memoized by raw bytes and the certificate
-/// carries interned issuer/subject ids (DESIGN.md §16).
+/// strings parse leniently (DistinguishedName::parse_lenient), so a row with
+/// a malformed DN still reaches the pipeline. With a pool, DN parsing is
+/// memoized by raw bytes and the certificate carries interned issuer/subject
+/// ids (DESIGN.md §16).
 x509::Certificate certificate_from_record(const X509LogRecord& record,
                                           core::DnPool* pool = nullptr);
 
@@ -49,8 +49,9 @@ class LogJoiner {
 
   /// Attaches an interning pool (not owned; must outlive the joiner). Every
   /// certificate built from then on parses its DNs at most once per distinct
-  /// spelling, carries DnIds, and is fingerprint-sealed so per-connection
-  /// corpus folds stop re-digesting identical certificates.
+  /// spelling and carries DnIds. The joiner is the pipeline's one intern
+  /// point (DESIGN.md §16.3): every engine attaches its run pool here and
+  /// nowhere else.
   void set_dn_pool(core::DnPool* pool) { dn_pool_ = pool; }
   core::DnPool* dn_pool() const { return dn_pool_; }
 

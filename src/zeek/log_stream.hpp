@@ -60,7 +60,9 @@ class StreamingLogReader {
 
   /// Attaches a DN pool: every emitted record gets its subject/issuer
   /// interned (intern_dn_fields) before the callback sees it. Not part of
-  /// checkpoint state — a restored reader re-attaches its pool.
+  /// checkpoint state. The pipeline's readers leave it unset — the joiner is
+  /// the one intern point (DESIGN.md §16.2) — so this hook only serves
+  /// callers that time parse+intern together.
   void set_dn_pool(core::DnPool* pool) { dn_pool_ = pool; }
 
   /// Primes the reader to take over mid-stream at a line-aligned shard

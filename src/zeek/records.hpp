@@ -51,7 +51,9 @@ struct SslLogRecord {
 
   /// Interned ids of subject/issuer when the record passed through a
   /// core::DnPool (intern_dn_fields), kInvalidDnId otherwise. Pool-local
-  /// derived state: excluded from equality, remapped on shard merges.
+  /// derived state, excluded from equality. The pipeline's readers never
+  /// stamp them (the joiner interns from the raw fields); only a reader with
+  /// a pool attached by hand does.
   core::DnId subject_id = core::kInvalidDnId;
   core::DnId issuer_id = core::kInvalidDnId;
 
@@ -95,7 +97,7 @@ struct X509LogRecord {
   std::vector<std::string> san_dns;
 
   /// Interned ids of subject/issuer (see SslLogRecord); filled by
-  /// intern_dn_fields on the pool-aware ingest path.
+  /// intern_dn_fields when a reader has a pool attached.
   core::DnId subject_id = core::kInvalidDnId;
   core::DnId issuer_id = core::kInvalidDnId;
 
@@ -114,14 +116,9 @@ struct X509LogRecord {
 
 /// Interns the record's DN fields into `pool` and stamps the ids. The
 /// raw-bytes memo inside the pool makes the repeat case (the overwhelming
-/// majority) two hash lookups, no DN parsing.
+/// majority) two hash lookups, no DN parsing. The pipeline does not call
+/// this (DESIGN.md §16.2); it backs StreamingLogReader::set_dn_pool.
 void intern_dn_fields(SslLogRecord& record, core::DnPool& pool);
 void intern_dn_fields(X509LogRecord& record, core::DnPool& pool);
-
-/// Rewrites shard-local DnIds through an absorb() id-map (old id -> merged
-/// id) — the record half of the shard-merge protocol (DESIGN.md §16). Ids
-/// outside the map (including kInvalidDnId) are left untouched.
-void remap_dn_ids(SslLogRecord& record, const std::vector<core::DnId>& id_map);
-void remap_dn_ids(X509LogRecord& record, const std::vector<core::DnId>& id_map);
 
 }  // namespace certchain::zeek

@@ -257,7 +257,9 @@ TEST(HybridAnalyzer, Figure4ColumnLabels) {
   ChainObservation observation;
   observation.chain = chain;
   const auto cls = chain::classify_hybrid(chain, stores);
-  const StructureColumn column = analyzer.build_structure_column(observation, cls);
+  truststore::IssuerClassifier classifier(stores, nullptr);
+  const StructureColumn column =
+      analyzer.build_structure_column(observation, cls, classifier);
   ASSERT_EQ(column.cells.size(), 4u);
   EXPECT_EQ(structure_cell_code(column.cells[0]), "Pub.Complete");
   EXPECT_EQ(structure_cell_code(column.cells[1]), "Pub.Complete");

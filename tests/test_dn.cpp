@@ -52,6 +52,20 @@ TEST(DistinguishedName, RejectsMalformedInputs) {
   EXPECT_THROW(DistinguishedName::parse_or_die("bad"), std::invalid_argument);
 }
 
+TEST(DistinguishedName, ParseLenientKeepsMalformedInputAsOneCn) {
+  const DistinguishedName malformed =
+      DistinguishedName::parse_lenient("CN=x,noeq,C=US");
+  ASSERT_EQ(malformed.size(), 1u);
+  EXPECT_EQ(malformed.rdns().front().type, "CN");
+  EXPECT_EQ(malformed.rdns().front().value, "CN=x,noeq,C=US");
+
+  const DistinguishedName valid =
+      DistinguishedName::parse_lenient("CN=example.com,O=Example Inc,C=US");
+  EXPECT_EQ(valid,
+            DistinguishedName::parse_or_die("CN=example.com,O=Example Inc,C=US"));
+  EXPECT_EQ(valid.size(), 3u);
+}
+
 TEST(DistinguishedName, EmptyInputYieldsEmptyDn) {
   const auto parsed = DistinguishedName::parse("");
   ASSERT_TRUE(parsed.has_value());
