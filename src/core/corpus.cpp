@@ -1,6 +1,9 @@
 #include "core/corpus.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <iterator>
 
 #include "util/hash.hpp"
 
@@ -17,29 +20,63 @@ bool read_uint(const obs::json::Value& object, const char* key,
   return true;
 }
 
-void write_string_set(obs::json::Writer& writer, const char* key,
-                      const std::set<std::string>& values) {
+/// Writes an id set as its strings in byte order, so the bytes never depend
+/// on id values.
+void write_id_set(obs::json::Writer& writer, const char* key,
+                  const std::vector<InternId>& ids, const Interner& names,
+                  std::vector<std::string_view>& scratch) {
+  scratch.clear();
+  for (const InternId id : ids) scratch.push_back(names.text(id));
+  std::sort(scratch.begin(), scratch.end());
   writer.key(key);
   writer.begin_array();
-  for (const std::string& value : values) writer.value_string(value);
+  for (const std::string_view value : scratch) writer.value_string(value);
   writer.end_array();
 }
 
-bool read_string_set(const obs::json::Value& object, const char* key,
-                     std::set<std::string>& out) {
+bool read_id_set(const obs::json::Value& object, const char* key,
+                 Interner& names, std::vector<InternId>& out) {
   const obs::json::Value* member = object.find(key);
   if (member == nullptr || !member->is_array()) return false;
   for (const obs::json::Value& entry : member->array) {
     if (!entry.is_string()) return false;
-    out.insert(entry.string);
+    insert_sorted_id(out, names.intern(entry.string));
   }
   return true;
 }
 
-/// The per-connection usage tail shared by both fold entry points: first/last
-/// seen, establishment, client/server endpoints, SNI. Must stay the single
-/// definition so the fused path cannot drift from add(JoinedConnection).
-void fold_usage(ChainObservation& observation, const zeek::SslLogRecord& ssl) {
+/// `from`'s ids rewritten as ids of `into`, interning the strings `into`
+/// lacks.
+struct IdRemap {
+  std::vector<InternId> table;
+  bool monotone = true;  // order-preserving: remapped sets stay sorted
+
+  IdRemap(const Interner& from, Interner& into) : table(from.size()) {
+    for (std::size_t id = 0; id < table.size(); ++id) {
+      table[id] = into.intern(from.text(static_cast<InternId>(id)));
+    }
+    monotone = std::is_sorted(table.begin(), table.end());
+  }
+
+  void apply(std::vector<InternId>& ids) const {
+    for (InternId& id : ids) id = table[id];
+    if (!monotone) std::sort(ids.begin(), ids.end());
+  }
+};
+
+/// ours ∪= theirs over sorted id sets.
+void union_ids(std::vector<InternId>& ours, const std::vector<InternId>& theirs,
+               std::vector<InternId>& scratch) {
+  scratch.clear();
+  std::set_union(ours.begin(), ours.end(), theirs.begin(), theirs.end(),
+                 std::back_inserter(scratch));
+  ours.swap(scratch);
+}
+
+}  // namespace
+
+void CorpusIndex::fold_usage(ChainObservation& observation,
+                             const zeek::SslLogRecord& ssl) {
   if (observation.connections == 0) {
     observation.first_seen = ssl.ts;
     observation.last_seen = ssl.ts;
@@ -49,19 +86,24 @@ void fold_usage(ChainObservation& observation, const zeek::SslLogRecord& ssl) {
   }
   ++observation.connections;
   if (ssl.established) ++observation.established;
-  observation.client_ips.insert(ssl.id_orig_h);
-  observation.server_keys.insert(ssl.id_resp_h + ":" +
-                                 std::to_string(ssl.id_resp_p));
+  insert_sorted_id(observation.client_ips, clients_.intern(ssl.id_orig_h));
+  // The "ip:port" key is built in reused scratch, so a seen endpoint costs
+  // no allocation.
+  char port[8];
+  const auto port_end =
+      std::to_chars(port, port + sizeof(port), ssl.id_resp_p).ptr;
+  fold_endpoint_.assign(ssl.id_resp_h);
+  fold_endpoint_.push_back(':');
+  fold_endpoint_.append(port, port_end);
+  insert_sorted_id(observation.server_keys, endpoints_.intern(fold_endpoint_));
   observation.ports.add(ssl.id_resp_p);
   if (ssl.server_name.empty()) {
     ++observation.without_sni;
   } else {
     ++observation.with_sni;
-    observation.domains.insert(ssl.server_name);
+    insert_sorted_id(observation.domains, sni_names_.intern(ssl.server_name));
   }
 }
-
-}  // namespace
 
 void CorpusIndex::add(const zeek::JoinedConnection& connection) {
   ++totals_.connections;
@@ -173,24 +215,30 @@ void CorpusIndex::merge_from(CorpusIndex&& other) {
   certificate_fingerprints_.merge(other.certificate_fingerprints_);
   totals_.distinct_certificates = certificate_fingerprints_.size();
 
+  const IdRemap clients(other.clients_, clients_);
+  const IdRemap endpoints(other.endpoints_, endpoints_);
+  const IdRemap sni_names(other.sni_names_, sni_names_);
+
+  std::vector<InternId> scratch;
   for (auto& [chain_id, theirs] : other.chains_) {
+    clients.apply(theirs.client_ips);
+    endpoints.apply(theirs.server_keys);
+    sni_names.apply(theirs.domains);
     const auto [it, inserted] = chains_.try_emplace(chain_id, std::move(theirs));
     if (inserted) continue;
     ChainObservation& ours = it->second;
     ours.connections += theirs.connections;
     ours.established += theirs.established;
-    ours.client_ips.merge(theirs.client_ips);
-    ours.server_keys.merge(theirs.server_keys);
+    union_ids(ours.client_ips, theirs.client_ips, scratch);
+    union_ids(ours.server_keys, theirs.server_keys, scratch);
     ours.ports.merge_from(theirs.ports);
     ours.with_sni += theirs.with_sni;
     ours.without_sni += theirs.without_sni;
-    ours.domains.merge(theirs.domains);
+    union_ids(ours.domains, theirs.domains, scratch);
     ours.first_seen = std::min(ours.first_seen, theirs.first_seen);
     ours.last_seen = std::max(ours.last_seen, theirs.last_seen);
   }
-  other.chains_.clear();
-  other.totals_ = CorpusTotals{};
-  other.reset_fold_memo();  // its memo pointed into the map just cleared
+  other = CorpusIndex();  // its memo pointed into the map just emptied
 }
 
 void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
@@ -217,6 +265,7 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
 
   writer.key("chains");
   writer.begin_array();
+  std::vector<std::string_view> scratch;
   for (const auto& [chain_id, observation] : chains_) {
     writer.begin_object();
     writer.key("id");
@@ -231,8 +280,9 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.connections);
     writer.key("established");
     writer.value_uint(observation.established);
-    write_string_set(writer, "client_ips", observation.client_ips);
-    write_string_set(writer, "server_keys", observation.server_keys);
+    write_id_set(writer, "client_ips", observation.client_ips, clients_, scratch);
+    write_id_set(writer, "server_keys", observation.server_keys, endpoints_,
+                 scratch);
     writer.key("ports");
     writer.begin_array();
     for (const auto& [port, count] : observation.ports.items()) {
@@ -246,7 +296,7 @@ void CorpusIndex::write_snapshot(obs::json::Writer& writer) const {
     writer.value_uint(observation.with_sni);
     writer.key("without_sni");
     writer.value_uint(observation.without_sni);
-    write_string_set(writer, "domains", observation.domains);
+    write_id_set(writer, "domains", observation.domains, sni_names_, scratch);
     writer.key("first_seen");
     writer.value_uint(static_cast<std::uint64_t>(observation.first_seen));
     writer.key("last_seen");
@@ -263,18 +313,12 @@ bool CorpusIndex::restore_snapshot(
     const std::map<std::string, x509::Certificate>& by_fingerprint,
     std::string* error) {
   const auto fail = [this, error](const std::string& message) {
-    chains_.clear();
-    certificate_fingerprints_.clear();
-    totals_ = CorpusTotals{};
-    reset_fold_memo();
+    *this = CorpusIndex();
     if (error != nullptr) *error = message;
     return false;
   };
 
-  chains_.clear();
-  certificate_fingerprints_.clear();
-  totals_ = CorpusTotals{};
-  reset_fold_memo();
+  *this = CorpusIndex();
   if (!value.is_object()) return fail("corpus snapshot is not an object");
 
   const obs::json::Value* totals = value.find("totals");
@@ -336,9 +380,9 @@ bool CorpusIndex::restore_snapshot(
         !read_uint(entry, "without_sni", without_sni) ||
         !read_uint(entry, "first_seen", first_seen) ||
         !read_uint(entry, "last_seen", last_seen) ||
-        !read_string_set(entry, "client_ips", observation.client_ips) ||
-        !read_string_set(entry, "server_keys", observation.server_keys) ||
-        !read_string_set(entry, "domains", observation.domains)) {
+        !read_id_set(entry, "client_ips", clients_, observation.client_ips) ||
+        !read_id_set(entry, "server_keys", endpoints_, observation.server_keys) ||
+        !read_id_set(entry, "domains", sni_names_, observation.domains)) {
       return fail("corpus snapshot chain fields malformed for " + id->string);
     }
     observation.with_sni = with_sni;
@@ -362,15 +406,6 @@ bool CorpusIndex::restore_snapshot(
     chains_.emplace(id->string, std::move(observation));
   }
   return true;
-}
-
-std::size_t CorpusIndex::distinct_clients(
-    const std::vector<const ChainObservation*>& observations) {
-  std::set<std::string> clients;
-  for (const ChainObservation* observation : observations) {
-    clients.insert(observation->client_ips.begin(), observation->client_ips.end());
-  }
-  return clients.size();
 }
 
 }  // namespace certchain::core

@@ -7,6 +7,12 @@
 // stream of joined SSL/X509 records into one ChainObservation per unique
 // chain (identity = ordered certificate fingerprints) plus corpus-wide
 // counters, preserving exactly the fields the downstream analyzers read.
+//
+// Usage attributes that repeat across connections — client IPs, server
+// "ip:port" endpoints and SNI names — are interned once per index into
+// dense ids (DESIGN.md §16.6); a chain keeps sorted id vectors, so folding a
+// connection whose values were seen before allocates nothing, and every
+// distinct count downstream is a bitmap union (DistinctIds).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "chain/chain.hpp"
+#include "core/interner.hpp"
 #include "obs/json.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -32,12 +39,14 @@ struct ChainObservation {
 
   std::uint64_t connections = 0;
   std::uint64_t established = 0;
-  std::set<std::string> client_ips;
-  std::set<std::string> server_keys;  // "ip:port" delivery points
+  // Sorted, duplicate-free ids into the owning index's interners
+  // (CorpusIndex::clients(), endpoints(), sni_names()).
+  std::vector<InternId> client_ips;
+  std::vector<InternId> server_keys;  // "ip:port" delivery points
   util::Counter<std::uint16_t> ports;
   std::uint64_t with_sni = 0;
   std::uint64_t without_sni = 0;
-  std::set<std::string> domains;  // observed SNI values
+  std::vector<InternId> domains;  // observed SNI values
   util::SimTime first_seen = 0;
   util::SimTime last_seen = 0;
 
@@ -66,11 +75,17 @@ class CorpusIndex {
   CorpusIndex(const CorpusIndex& other)
       : chains_(other.chains_),
         certificate_fingerprints_(other.certificate_fingerprints_),
-        totals_(other.totals_) {}
+        totals_(other.totals_),
+        clients_(other.clients_),
+        endpoints_(other.endpoints_),
+        sni_names_(other.sni_names_) {}
   CorpusIndex& operator=(const CorpusIndex& other) {
     chains_ = other.chains_;
     certificate_fingerprints_ = other.certificate_fingerprints_;
     totals_ = other.totals_;
+    clients_ = other.clients_;
+    endpoints_ = other.endpoints_;
+    sni_names_ = other.sni_names_;
     reset_fold_memo();
     return *this;
   }
@@ -95,6 +110,9 @@ class CorpusIndex {
   /// timestamps), so merging shard-local indexes — in any order — yields
   /// exactly the index a single pass over the concatenated connections would
   /// have built; certificates seen by several shards are deduplicated here.
+  /// The other index's usage ids are remapped into this index's interners
+  /// first — O(distinct values + ids) — so ids may differ from a single
+  /// pass, but every set, and so every count and snapshot byte, is the same.
   /// The parallel-diff suite asserts this equivalence end to end.
   void merge_from(CorpusIndex&& other);
 
@@ -103,15 +121,17 @@ class CorpusIndex {
 
   std::size_t unique_chain_count() const { return chains_.size(); }
 
-  /// Union of client IPs across a set of chain ids.
-  static std::size_t distinct_clients(
-      const std::vector<const ChainObservation*>& observations);
+  /// The id spaces of ChainObservation::client_ips, server_keys and domains.
+  const Interner& clients() const { return clients_; }
+  const Interner& endpoints() const { return endpoints_; }
+  const Interner& sni_names() const { return sni_names_; }
 
   /// Writes the complete fold state as one JSON object (the `corpus` block
   /// of a stream checkpoint, DESIGN.md §11). Chains are stored as ordered
   /// certificate fingerprints, not serialized certificates — every
   /// certificate in the corpus came out of the X509 log, so a resuming run
-  /// re-derives the objects from its re-ingested records.
+  /// re-derives the objects from its re-ingested records. Usage ids are
+  /// written as their strings, sorted, so the bytes never depend on ids.
   void write_snapshot(obs::json::Writer& writer) const;
 
   /// Restores a write_snapshot() state into an empty index. Fingerprints are
@@ -127,6 +147,15 @@ class CorpusIndex {
   std::map<std::string, ChainObservation> chains_;  // by chain id
   std::set<std::string> certificate_fingerprints_;
   CorpusTotals totals_;
+  Interner clients_;
+  Interner endpoints_;
+  Interner sni_names_;
+
+  /// The per-connection usage tail shared by both fold entry points: first/
+  /// last seen, establishment, client/server endpoints, SNI. Must stay the
+  /// single definition so the fused path cannot drift from
+  /// add(JoinedConnection).
+  void fold_usage(ChainObservation& observation, const zeek::SslLogRecord& ssl);
 
   /// Slow half of the fused fold: resolves fuids, digests the chain id, and
   /// registers the chain — runs once per distinct fuid list, not per row.
@@ -160,6 +189,7 @@ class CorpusIndex {
   std::string fold_id_bytes_;
   std::string fold_fingerprint_;
   std::string fold_key_;
+  std::string fold_endpoint_;
   // Fuid-list memo, valid only for one (joiner, certificate_count) snapshot:
   // the joiner can grow between folds (svc appends X509 rows incrementally),
   // and growth can turn a missing fuid into a resolved one.

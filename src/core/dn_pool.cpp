@@ -1,57 +1,27 @@
 #include "core/dn_pool.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 namespace certchain::core {
 
-namespace {
-
-constexpr std::size_t kArenaChunkBytes = 64 * 1024;
-
-}  // namespace
-
-std::string_view DnPool::arena_store(std::string_view bytes) {
-  if (arena_used_ + bytes.size() > arena_capacity_) {
-    const std::size_t chunk = std::max(kArenaChunkBytes, bytes.size());
-    arena_chunks_.push_back(std::make_unique<char[]>(chunk));
-    arena_used_ = 0;
-    arena_capacity_ = chunk;
-  }
-  char* dest = arena_chunks_.back().get() + arena_used_;
-  std::memcpy(dest, bytes.data(), bytes.size());
-  arena_used_ += bytes.size();
-  return std::string_view(dest, bytes.size());
-}
-
-DnId DnPool::intern_parsed(x509::DistinguishedName name) {
-  const auto it = by_canonical_.find(name.canonical());
-  if (it != by_canonical_.end()) return it->second;
-  const DnId id = static_cast<DnId>(entries_.size());
-  entries_.push_back(
-      std::make_unique<x509::DistinguishedName>(std::move(name)));
-  by_canonical_.emplace(std::string_view(entries_.back()->canonical()), id);
-  return id;
-}
+static_assert(kInvalidInternId == kInvalidDnId,
+              "find_canonical answers the interner's miss value");
 
 DnPool::Interned DnPool::intern_raw(std::string_view raw) {
-  const auto it = by_raw_.find(raw);
-  if (it != by_raw_.end()) return it->second;
-  const Interned interned = memo_raw(raw);
-  by_raw_.emplace(arena_store(raw), interned);
-  return interned;
+  const InternId spelling = raw_spellings_.intern(raw);
+  if (spelling < by_raw_id_.size()) return by_raw_id_[spelling];
+  by_raw_id_.push_back(memo_raw(raw));
+  return by_raw_id_.back();
 }
 
 DnPool::Interned DnPool::memo_raw(std::string_view raw) {
   x509::DistinguishedName parsed = x509::DistinguishedName::parse_lenient(raw);
-  const auto canonical_it = by_canonical_.find(parsed.canonical());
-  if (canonical_it == by_canonical_.end()) {
-    const DnId id = intern_parsed(std::move(parsed));
-    return Interned{id, entries_[id].get()};
+  const DnId id = canonicals_.intern(parsed.canonical());
+  if (id == entries_.size()) {
+    entries_.push_back(
+        std::make_unique<x509::DistinguishedName>(std::move(parsed)));
+    return Interned{id, entries_.back().get()};
   }
   // Canonical collision with a different spelling: keep this parse as a
   // variant so name_for_raw() renders these exact bytes.
-  const DnId id = canonical_it->second;
   if (parsed == *entries_[id]) return Interned{id, entries_[id].get()};
   variants_.push_back(
       std::make_unique<x509::DistinguishedName>(std::move(parsed)));
@@ -59,14 +29,15 @@ DnPool::Interned DnPool::memo_raw(std::string_view raw) {
 }
 
 DnId DnPool::intern(const x509::DistinguishedName& name) {
-  const auto it = by_canonical_.find(name.canonical());
-  if (it != by_canonical_.end()) return it->second;
-  return intern_parsed(name);
+  const DnId id = canonicals_.intern(name.canonical());
+  if (id == entries_.size()) {
+    entries_.push_back(std::make_unique<x509::DistinguishedName>(name));
+  }
+  return id;
 }
 
 DnId DnPool::find_canonical(std::string_view canonical) const {
-  const auto it = by_canonical_.find(canonical);
-  return it == by_canonical_.end() ? kInvalidDnId : it->second;
+  return canonicals_.find(canonical);
 }
 
 }  // namespace certchain::core

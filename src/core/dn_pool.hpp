@@ -8,14 +8,16 @@
 // Two intern entry points:
 //
 //   intern(raw)    raw RFC 4514 bytes from a log field. A raw-bytes memo
-//                  (arena-backed keys) skips DN parsing entirely when the
-//                  same spelling recurs — the common case, since X509 rows
-//                  repeat a small set of issuers thousands of times. A
+//                  (an Interner over the spellings) skips DN parsing
+//                  entirely when the same spelling recurs — the common
+//                  case, since X509 rows repeat a small set of issuers
+//                  thousands of times. A
 //                  malformed DN degrades to a single CN=<raw> RDN
 //                  (DistinguishedName::parse_lenient), exactly as the
 //                  poolless joiner parses it.
 //   intern(name)   an already-parsed DistinguishedName, keyed by its
-//                  canonical form.
+//                  canonical form. Canonical forms live in a second
+//                  Interner whose ids are the DnIds.
 //
 // zeek::LogJoiner is the one place the pipeline interns: every batch engine
 // (records, text, streamed) builds its joiner on the coordinator over the
@@ -34,10 +36,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dn_id.hpp"
+#include "core/interner.hpp"
 #include "x509/distinguished_name.hpp"
 
 namespace certchain::core {
@@ -89,25 +91,19 @@ class DnPool {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  /// Bump-allocating byte arena for memo keys; views into it stay valid for
-  /// the pool's lifetime.
-  std::string_view arena_store(std::string_view bytes);
-
-  DnId intern_parsed(x509::DistinguishedName name);
   Interned memo_raw(std::string_view raw);
 
-  // Entries are heap-allocated so views into their canonical strings survive
+  // Canonical forms; an id here is the DnId, in first-intern order.
+  Interner canonicals_;
+  // Entries are heap-allocated so pointers handed out in Interned survive
   // deque growth and pool moves.
   std::deque<std::unique_ptr<x509::DistinguishedName>> entries_;
   // Variant parses: spellings whose canonical form was already interned.
   std::deque<std::unique_ptr<x509::DistinguishedName>> variants_;
 
-  std::unordered_map<std::string_view, DnId> by_canonical_;
-  std::unordered_map<std::string_view, Interned> by_raw_;
-
-  std::vector<std::unique_ptr<char[]>> arena_chunks_;
-  std::size_t arena_used_ = 0;
-  std::size_t arena_capacity_ = 0;
+  // The raw-spelling memo: spelling id -> what intern_raw() answered for it.
+  Interner raw_spellings_;
+  std::vector<Interned> by_raw_id_;
 };
 
 }  // namespace certchain::core

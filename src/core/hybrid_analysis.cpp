@@ -134,10 +134,10 @@ HybridReport HybridAnalyzer::analyze(
   truststore::IssuerClassifier classifier(*stores_, dn_pool_);
   std::map<std::string, std::set<std::string>> anchored_entities;  // sector -> entities
   std::map<std::string, std::size_t> anchored_counts;              // sector -> chains
-  std::set<std::string> clients_complete;
-  std::set<std::string> clients_contains;
-  std::set<std::string> clients_no_path;
-  std::set<std::string> clients_public_leaf_no_issuer;
+  DistinctIds clients_complete;
+  DistinctIds clients_contains;
+  DistinctIds clients_no_path;
+  DistinctIds clients_public_leaf_no_issuer;
 
   for (const ChainObservation* observation : hybrid_chains) {
     HybridChainRecord record;
@@ -153,8 +153,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_complete.chains++;
         report.usage_complete.connections += observation->connections;
         report.usage_complete.established += observation->established;
-        clients_complete.insert(observation->client_ips.begin(),
-                                observation->client_ips.end());
+        clients_complete.add(observation->client_ips);
 
         // Table 6 attribution from the leaf's issuer.
         const x509::Certificate& leaf = chain.at(cls.paths.complete_path->begin);
@@ -178,8 +177,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_complete.chains++;
         report.usage_complete.connections += observation->connections;
         report.usage_complete.established += observation->established;
-        clients_complete.insert(observation->client_ips.begin(),
-                                observation->client_ips.end());
+        clients_complete.add(observation->client_ips);
         break;
       }
       case HybridStructure::kContainsCompletePath: {
@@ -187,8 +185,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_contains.chains++;
         report.usage_contains.connections += observation->connections;
         report.usage_contains.established += observation->established;
-        clients_contains.insert(observation->client_ips.begin(),
-                                observation->client_ips.end());
+        clients_contains.add(observation->client_ips);
         report.figure4_columns.push_back(
             build_structure_column(*observation, cls, classifier));
 
@@ -206,8 +203,7 @@ HybridReport HybridAnalyzer::analyze(
         report.usage_no_path.chains++;
         report.usage_no_path.connections += observation->connections;
         report.usage_no_path.established += observation->established;
-        clients_no_path.insert(observation->client_ips.begin(),
-                               observation->client_ips.end());
+        clients_no_path.add(observation->client_ips);
         ++report.no_path_categories[cls.no_path_category];
         report.mismatch_ratios.push_back(cls.paths.match.mismatch_ratio());
         if (cls.public_leaf_without_issuer) {
@@ -217,8 +213,7 @@ HybridReport HybridAnalyzer::analyze(
               observation->connections;
           report.usage_public_leaf_without_issuer.established +=
               observation->established;
-          clients_public_leaf_no_issuer.insert(observation->client_ips.begin(),
-                                               observation->client_ips.end());
+          clients_public_leaf_no_issuer.add(observation->client_ips);
         }
         break;
       }

@@ -17,38 +17,6 @@ chain::InterceptionIssuerSet InterceptionReport::issuer_set() const {
   return out;
 }
 
-std::vector<InterceptionCategoryRow> InterceptionReport::category_rows() const {
-  std::map<std::string, InterceptionCategoryRow> by_category;
-  std::map<std::string, std::set<std::string>> vendors_by_category;
-  for (const InterceptionFinding& finding : findings) {
-    InterceptionCategoryRow& row = by_category[finding.vendor.category];
-    row.category = finding.vendor.category;
-    vendors_by_category[finding.vendor.category].insert(finding.vendor.vendor);
-    row.connections += finding.connections;
-  }
-  for (auto& [category, row] : by_category) {
-    row.issuers = vendors_by_category[category].size();
-  }
-  // Client IPs must be deduplicated per category, not summed per issuer.
-  std::map<std::string, std::set<std::string>> clients_by_category;
-  for (const InterceptionFinding& finding : findings) {
-    clients_by_category[finding.vendor.category].insert(finding.client_ips.begin(),
-                                                        finding.client_ips.end());
-  }
-  for (auto& [category, row] : by_category) {
-    row.client_ips = clients_by_category[category].size();
-  }
-
-  std::vector<InterceptionCategoryRow> rows;
-  rows.reserve(by_category.size());
-  for (auto& [category, row] : by_category) rows.push_back(std::move(row));
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const InterceptionCategoryRow& a, const InterceptionCategoryRow& b) {
-                     return a.connections > b.connections;
-                   });
-  return rows;
-}
-
 bool InterceptionDetector::is_interception_candidate(
     const chain::CertificateChain& chain, std::string_view domain) const {
   if (chain.empty() || domain.empty()) return false;
@@ -96,12 +64,14 @@ struct DetectFold {
 /// The chunk loop body: evaluates one chain observation into the fold.
 void fold_observation(const InterceptionDetector& detector,
                       const VendorDirectory& directory,
+                      const Interner& sni_names,
                       const ChainObservation& observation, DetectFold& fold) {
   if (observation.chain.empty()) return;
   // Evaluate against each observed SNI; the first confirming domain wins.
   bool candidate = false;
-  for (const std::string& domain : observation.domains) {
-    if (detector.is_interception_candidate(observation.chain, domain)) {
+  for (const InternId domain : observation.domains) {
+    if (detector.is_interception_candidate(observation.chain,
+                                           sni_names.text(domain))) {
       candidate = true;
       break;
     }
@@ -122,12 +92,42 @@ void fold_observation(const InterceptionDetector& detector,
     finding.vendor = directory_entry->second;
   }
   finding.connections += observation.connections;
-  finding.client_ips.insert(observation.client_ips.begin(),
-                            observation.client_ips.end());
+  finding.client_ips.add(observation.client_ips);
   fold.total_connections += observation.connections;
 }
 
-/// Vendor expansion + the Table-1 ordering over the merged fold.
+/// Table 1: findings aggregated per vendor category, by descending
+/// connection share. Client ids are deduplicated per category, not summed
+/// per issuer.
+std::vector<InterceptionCategoryRow> category_rows_of(
+    const std::map<std::string, InterceptionFinding>& findings) {
+  std::map<std::string, InterceptionCategoryRow> by_category;
+  std::map<std::string, std::set<std::string>> vendors_by_category;
+  std::map<std::string, DistinctIds> clients_by_category;
+  for (const auto& [canonical, finding] : findings) {
+    const std::string& category = finding.vendor.category;
+    InterceptionCategoryRow& row = by_category[category];
+    row.category = category;
+    row.connections += finding.connections;
+    vendors_by_category[category].insert(finding.vendor.vendor);
+    clients_by_category[category].merge(finding.client_ips);
+  }
+  std::vector<InterceptionCategoryRow> rows;
+  rows.reserve(by_category.size());
+  for (auto& [category, row] : by_category) {
+    row.issuers = vendors_by_category[category].size();
+    row.client_ips = clients_by_category[category].size();
+    rows.push_back(std::move(row));
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const InterceptionCategoryRow& a, const InterceptionCategoryRow& b) {
+                     return a.connections > b.connections;
+                   });
+  return rows;
+}
+
+/// Vendor expansion, Table 1 rows and the findings ordering over the merged
+/// fold.
 InterceptionReport finalize_fold(DetectFold&& fold,
                                  const VendorDirectory& directory) {
   InterceptionReport report;
@@ -144,6 +144,7 @@ InterceptionReport finalize_fold(DetectFold&& fold,
       report.vendor_issuer_dns.insert(canonical);
     }
   }
+  report.rows = category_rows_of(fold.findings);
 
   report.findings.reserve(fold.findings.size());
   for (auto& [canonical, finding] : fold.findings) {
@@ -170,10 +171,11 @@ InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
   std::vector<DetectFold> folds(chunks);
   par::parallel_for_chunks(
       pool, observations.size(), chunks,
-      [this, &folds, &observations](std::size_t chunk, std::size_t begin,
-                                    std::size_t end) {
+      [this, &folds, &observations, &corpus](std::size_t chunk,
+                                             std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          fold_observation(*this, *directory_, *observations[i], folds[chunk]);
+          fold_observation(*this, *directory_, corpus.sni_names(),
+                           *observations[i], folds[chunk]);
         }
       });
   return finalize_fold(par::merge_chunks(folds), *directory_);

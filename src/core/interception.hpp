@@ -50,7 +50,7 @@ struct InterceptionFinding {
   std::string issuer_display;  // RFC 4514 form
   VendorInfo vendor;
   std::uint64_t connections = 0;
-  std::set<std::string> client_ips;
+  DistinctIds client_ips;  // ids of the detected corpus's clients()
 };
 
 /// Aggregated Table 1 row. `issuers` counts distinct vendors (the paper's
@@ -78,8 +78,12 @@ struct InterceptionReport {
   /// chains) are attributed through the vendor expansion.
   chain::InterceptionIssuerSet issuer_set() const;
 
-  /// Table 1 rows, ordered by descending connection share.
-  std::vector<InterceptionCategoryRow> category_rows() const;
+  /// Table 1 rows, ordered by descending connection share. Computed once by
+  /// detect(), so rendering a report does no set work.
+  std::vector<InterceptionCategoryRow> rows;
+  const std::vector<InterceptionCategoryRow>& category_rows() const {
+    return rows;
+  }
 };
 
 class InterceptionDetector {
@@ -89,13 +93,14 @@ class InterceptionDetector {
       : stores_(&stores), ct_logs_(&ct_logs), directory_(&directory) {}
 
   /// Runs detection over the deduplicated corpus. Chains are flagged via
-  /// their observed SNI domains; SNI-less traffic cannot be checked against
-  /// CT (Appendix B limitation, reproduced faithfully). The per-chain
-  /// candidate test runs over one chunk of consecutive corpus ranges per
-  /// `pool` worker (one chunk, inline, when `pool` is null); the partial
-  /// finding maps merge in range order (identity fields first-wins, counts
-  /// summed, client sets unioned) before the vendor expansion and sort — so
-  /// the report is identical at every worker count.
+  /// their observed SNI domains (read back through corpus.sni_names());
+  /// SNI-less traffic cannot be checked against CT (Appendix B limitation,
+  /// reproduced faithfully). The per-chain candidate test runs over one
+  /// chunk of consecutive corpus ranges per `pool` worker (one chunk,
+  /// inline, when `pool` is null); the partial finding maps merge in range
+  /// order (identity fields first-wins, counts summed, client id sets
+  /// unioned) before the vendor expansion, the Table 1 rows and the sort —
+  /// so the report is identical at every worker count.
   InterceptionReport detect(const CorpusIndex& corpus,
                             par::ThreadPool* pool = nullptr) const;
 

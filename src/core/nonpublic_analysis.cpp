@@ -1,7 +1,6 @@
 #include "core/nonpublic_analysis.hpp"
 
 #include <cctype>
-#include <set>
 
 #include "chain/matcher.hpp"
 
@@ -32,29 +31,27 @@ NonPublicReport NonPublicAnalyzer::analyze(
   NonPublicReport report;
   report.category_label = std::move(category_label);
 
-  std::set<std::string> all_clients;
-  std::set<std::string> single_clients;
-  std::set<std::string> dga_clients;
+  DistinctIds all_clients;
+  DistinctIds single_clients;
+  DistinctIds dga_clients;
 
   for (const ChainObservation* observation : chains) {
     const auto& chain = observation->chain;
     if (chain.empty()) continue;
     ++report.chains;
     report.connections += observation->connections;
-    all_clients.insert(observation->client_ips.begin(), observation->client_ips.end());
+    all_clients.add(observation->client_ips);
 
     if (chain.is_single()) {
       ++report.single_chains;
       report.single_connections += observation->connections;
       report.single_no_sni_connections += observation->without_sni;
-      single_clients.insert(observation->client_ips.begin(),
-                            observation->client_ips.end());
+      single_clients.add(observation->client_ips);
       if (chain.first_is_self_signed()) ++report.single_self_signed;
       if (is_dga_certificate(chain.first())) {
         ++report.dga_chains;
         report.dga_connections += observation->connections;
-        dga_clients.insert(observation->client_ips.begin(),
-                           observation->client_ips.end());
+        dga_clients.add(observation->client_ips);
       }
       for (const auto& [port, count] : observation->ports.items()) {
         report.ports_single.add(port, count);

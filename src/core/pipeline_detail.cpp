@@ -82,8 +82,7 @@ void CategorizeFold::add(const ChainObservation& observation,
   CategoryUsage& usage = categories[category];
   ++usage.chains;
   usage.connections += observation.connections;
-  clients_by_category[category].insert(observation.client_ips.begin(),
-                                       observation.client_ips.end());
+  clients_by_category[category].add(observation.client_ips);
 
   // Figure 1 series with the outlier rule.
   if (observation.chain.length() > StudyPipeline::kOutlierLength &&
@@ -115,7 +114,7 @@ void CategorizeFold::merge_from(CategorizeFold&& other) {
     mine.chains += usage.chains;
     mine.connections += usage.connections;
   }
-  for (auto& [category, clients] : other.clients_by_category) {
+  for (const auto& [category, clients] : other.clients_by_category) {
     clients_by_category[category].merge(clients);
   }
   for (auto& [category, lengths] : other.chain_lengths) {
@@ -133,7 +132,7 @@ void CategorizeFold::finish(StudyReport& report) {
   report.chain_lengths = std::move(chain_lengths);
   report.excluded_outliers = std::move(excluded_outliers);
   report.ports_hybrid = std::move(ports_hybrid);
-  for (auto& [category, clients] : clients_by_category) {
+  for (const auto& [category, clients] : clients_by_category) {
     report.categories[category].client_ips = clients.size();
   }
 }

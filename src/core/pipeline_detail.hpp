@@ -10,7 +10,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -81,7 +80,7 @@ using CategorySlices =
 struct CategorizeFold {
   CategorySlices slices;
   std::map<chain::ChainCategory, CategoryUsage> categories;
-  std::map<chain::ChainCategory, std::set<std::string>> clients_by_category;
+  std::map<chain::ChainCategory, DistinctIds> clients_by_category;
   std::map<chain::ChainCategory, std::vector<std::size_t>> chain_lengths;
   std::vector<ExcludedOutlier> excluded_outliers;
   util::Counter<std::uint16_t> ports_hybrid;

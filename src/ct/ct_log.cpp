@@ -202,10 +202,16 @@ std::size_t CtLogSet::required_sct_count(util::SimTime lifetime_seconds) {
 }
 
 bool CtLogSet::complies(const x509::Certificate& cert) const {
+  const std::size_t required = required_sct_count(cert.validity.duration());
+  // Too few SCTs can never comply (every Zeek-ingested leaf: X509 rows carry
+  // none), so skip the precertificate copy.
+  if (cert.scts.size() < required) return false;
   std::set<std::string> distinct_logs;
-  // The logged entry is the SCT-free precertificate.
+  // The logged entry is the SCT-free precertificate. A sealed memo holds the
+  // as-delivered fingerprint, so the copy must drop it too.
   x509::Certificate precert = cert;
   precert.scts.clear();
+  precert.fingerprint_memo.clear();
   const std::string fingerprint = precert.fingerprint();
   for (const x509::EmbeddedSct& sct : cert.scts) {
     const CtLog* log = find_log(sct.log_id);
@@ -213,7 +219,7 @@ bool CtLogSet::complies(const x509::Certificate& cert) const {
     if (!log->contains_fingerprint(fingerprint)) continue;
     distinct_logs.insert(sct.log_id);
   }
-  return distinct_logs.size() >= required_sct_count(cert.validity.duration());
+  return distinct_logs.size() >= required;
 }
 
 std::vector<x509::DistinguishedName> CtLogSet::issuers_for_domain(
@@ -231,6 +237,7 @@ std::vector<x509::DistinguishedName> CtLogSet::issuers_for_domain(
 bool CtLogSet::logged_anywhere(const x509::Certificate& cert) const {
   x509::Certificate precert = cert;
   precert.scts.clear();
+  precert.fingerprint_memo.clear();  // the memo is the as-delivered fingerprint
   const std::string fingerprint = precert.fingerprint();
   for (const CtLog& log : logs_) {
     if (log.contains_fingerprint(fingerprint)) return true;

@@ -314,10 +314,12 @@ TEST(HybridAnalyzer, FakeLeSignatureDetected) {
   observation.chain = chain;
   observation.connections = 5;
   observation.established = 4;
+  observation.client_ips = {0, 2, 5};
 
   const HybridAnalyzer analyzer(stores, ct_logs);
   const HybridReport report = analyzer.analyze({&observation});
   EXPECT_EQ(report.contains_complete_path, 1u);
+  EXPECT_EQ(report.usage_contains.client_ips, 3u);
   EXPECT_EQ(report.fake_le_chains, 1u);
   EXPECT_EQ(report.figure4_columns.size(), 1u);
   EXPECT_NEAR(report.usage_contains.establish_rate(), 0.8, 1e-12);
@@ -334,13 +336,13 @@ TEST(NonPublicAnalyzer, SinglesSelfSignedAndDga) {
   localhost_obs.connections = 10;
   localhost_obs.without_sni = 9;
   localhost_obs.with_sni = 1;
-  localhost_obs.client_ips = {"10.0.0.1", "10.0.0.2"};
+  localhost_obs.client_ips = {0, 1};  // ids of one client interner
   localhost_obs.ports.add(8888, 10);
 
   ChainObservation dga_obs;
   dga_obs.chain = make_chain({world.make_dga_certificate(rng)});
   dga_obs.connections = 4;
-  dga_obs.client_ips = {"10.0.0.3"};
+  dga_obs.client_ips = {2};
   dga_obs.ports.add(33854, 4);
 
   ChainObservation multi_obs;
@@ -352,6 +354,7 @@ TEST(NonPublicAnalyzer, SinglesSelfSignedAndDga) {
                                                    test_validity()),
        *hierarchy.intermediate_cert, hierarchy.root_cert});
   multi_obs.connections = 6;
+  multi_obs.client_ips = {1, 3};
   multi_obs.ports.add(443, 6);
 
   const NonPublicAnalyzer analyzer;
@@ -363,6 +366,9 @@ TEST(NonPublicAnalyzer, SinglesSelfSignedAndDga) {
   EXPECT_EQ(report.single_self_signed, 1u);
   EXPECT_EQ(report.dga_chains, 1u);
   EXPECT_EQ(report.dga_connections, 4u);
+  EXPECT_EQ(report.client_ips, 4u);  // id 1 is shared, counted once
+  EXPECT_EQ(report.single_client_ips, 3u);
+  EXPECT_EQ(report.dga_client_ips, 1u);
   EXPECT_EQ(report.multi_chains, 1u);
   EXPECT_EQ(report.is_matched_path, 1u);
   EXPECT_EQ(report.single_no_sni_connections, 9u);

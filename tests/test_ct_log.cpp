@@ -244,6 +244,27 @@ TEST(CtLogSet, ComplianceRequiresRealLogEntries) {
   EXPECT_FALSE(logs.complies(single));
 }
 
+TEST(CtLogSet, SealedCertificateAnswersLikeUnsealed) {
+  // A sealed certificate memoizes its as-delivered (SCT-bearing)
+  // fingerprint; the policy and log lookups must still use the SCT-free
+  // precertificate's.
+  TestPki pki;
+  CtLogSet logs(3);
+  const x509::Certificate original = pki.leaf("sealed.example");
+  x509::Certificate embedded = logs.submit_and_embed(original, 7);
+  ASSERT_TRUE(logs.complies(embedded));
+  ASSERT_TRUE(logs.logged_anywhere(embedded));
+
+  embedded.seal_fingerprint();
+  EXPECT_TRUE(logs.complies(embedded));
+  EXPECT_TRUE(logs.logged_anywhere(embedded));
+
+  x509::Certificate bare = original;
+  bare.seal_fingerprint();
+  EXPECT_FALSE(logs.complies(bare));  // no SCTs
+  EXPECT_TRUE(logs.logged_anywhere(bare));
+}
+
 TEST(CtLogSet, UnionQueriesDeduplicate) {
   TestPki pki;
   CtLogSet logs(2);
