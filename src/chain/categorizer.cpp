@@ -14,15 +14,11 @@ std::string_view chain_category_name(ChainCategory category) {
   return "unknown";
 }
 
-ChainCategory categorize_chain(const CertificateChain& chain,
-                               truststore::IssuerClassifier& classifier,
-                               const InterceptionIssuerSet& interception_issuers) {
+ChainCategory issuer_class_category(const CertificateChain& chain,
+                                    truststore::IssuerClassifier& classifier) {
   bool any_public = false;
   bool any_non_public = false;
   for (const x509::Certificate& cert : chain) {
-    if (interception_issuers.contains(cert.issuer.canonical())) {
-      return ChainCategory::kTlsInterception;
-    }
     if (classifier.classify(cert) == IssuerClass::kPublicDb) {
       any_public = true;
     } else {
@@ -32,6 +28,24 @@ ChainCategory categorize_chain(const CertificateChain& chain,
   if (any_public && any_non_public) return ChainCategory::kHybrid;
   if (any_public) return ChainCategory::kPublicDbOnly;
   return ChainCategory::kNonPublicDbOnly;
+}
+
+bool has_interception_issuer(const CertificateChain& chain,
+                             const InterceptionIssuerSet& interception_issuers) {
+  if (interception_issuers.empty()) return false;
+  for (const x509::Certificate& cert : chain) {
+    if (interception_issuers.contains(cert.issuer.canonical())) return true;
+  }
+  return false;
+}
+
+ChainCategory categorize_chain(const CertificateChain& chain,
+                               truststore::IssuerClassifier& classifier,
+                               const InterceptionIssuerSet& interception_issuers) {
+  if (has_interception_issuer(chain, interception_issuers)) {
+    return ChainCategory::kTlsInterception;
+  }
+  return issuer_class_category(chain, classifier);
 }
 
 ChainCategory categorize_chain(const CertificateChain& chain,

@@ -39,6 +39,16 @@ ChainCategory categorize_chain(const CertificateChain& chain,
                                truststore::IssuerClassifier& classifier,
                                const InterceptionIssuerSet& interception_issuers);
 
+/// The two halves of categorize_chain, for callers that keep the class mix
+/// across interception sets (the pipeline's verdict memo, DESIGN.md §16.7):
+/// categorize_chain == has_interception_issuer ? kTlsInterception
+///                                             : issuer_class_category.
+/// issuer_class_category answers kPublicDbOnly, kNonPublicDbOnly or kHybrid.
+ChainCategory issuer_class_category(const CertificateChain& chain,
+                                    truststore::IssuerClassifier& classifier);
+bool has_interception_issuer(const CertificateChain& chain,
+                             const InterceptionIssuerSet& interception_issuers);
+
 /// The same verdict through a poolless classifier over `stores`.
 ChainCategory categorize_chain(const CertificateChain& chain,
                                const truststore::TrustStoreSet& stores,

@@ -1,6 +1,7 @@
 #include "core/corpus.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cstdint>
 #include <iterator>
@@ -74,6 +75,11 @@ void union_ids(std::vector<InternId>& ours, const std::vector<InternId>& theirs,
 }
 
 }  // namespace
+
+VerdictOwner next_verdict_owner() {
+  static std::atomic<VerdictOwner> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 void CorpusIndex::fold_usage(ChainObservation& observation,
                              const zeek::SslLogRecord& ssl) {

@@ -13,6 +13,10 @@
 // dense ids (DESIGN.md §16.6); a chain keeps sorted id vectors, so folding a
 // connection whose values were seen before allocates nothing, and every
 // distinct count downstream is a bitmap union (DistinctIds).
+//
+// Each observation also carries the memo of its chain-intrinsic analysis
+// verdicts (ChainVerdictMemo, DESIGN.md §16.7), so re-analyzing a corpus
+// after an append re-derives only what the append changed.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,7 @@
 
 #include "chain/chain.hpp"
 #include "core/interner.hpp"
+#include "core/verdict_memo.hpp"
 #include "obs/json.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -49,6 +54,20 @@ struct ChainObservation {
   std::vector<InternId> domains;  // observed SNI values
   util::SimTime first_seen = 0;
   util::SimTime last_seen = 0;
+
+  /// Derived analysis state (DESIGN.md §16.7): excluded from snapshots,
+  /// copied with the observation. Access it through verdicts().
+  mutable ChainVerdictMemo verdict_memo;
+
+  /// The verdict memo, cleared first when another owner filled it. Only the
+  /// chunk that owns this observation in the running stage may call this.
+  ChainVerdictMemo& verdicts(VerdictOwner owner) const {
+    if (verdict_memo.owner != owner) {
+      verdict_memo = ChainVerdictMemo();
+      verdict_memo.owner = owner;
+    }
+    return verdict_memo;
+  }
 
   double establish_rate() const {
     return connections == 0 ? 0.0
@@ -113,7 +132,10 @@ class CorpusIndex {
   /// The other index's usage ids are remapped into this index's interners
   /// first — O(distinct values + ids) — so ids may differ from a single
   /// pass, but every set, and so every count and snapshot byte, is the same.
-  /// The parallel-diff suite asserts this equivalence end to end.
+  /// The parallel-diff suite asserts this equivalence end to end. Verdict
+  /// memos stay valid on both sides: they are chain-intrinsic, and the one
+  /// usage-keyed entry (interception candidacy) re-tests when a union grows
+  /// the chain's domain set.
   void merge_from(CorpusIndex&& other);
 
   const std::map<std::string, ChainObservation>& chains() const { return chains_; }

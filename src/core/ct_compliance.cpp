@@ -21,31 +21,47 @@ void CtComplianceReport::merge_from(const CtComplianceReport& other) {
   merge_bucket(self_contained, other.self_contained);
 }
 
+CtLeafVerdict CtComplianceAnalyzer::leaf_verdict(
+    const x509::Certificate& leaf) const {
+  CtLeafVerdict verdict;
+  // Category precedence: a self-signed leaf is its own anchor regardless of
+  // what database its (self-)issuer name happens to sit in.
+  if (leaf.is_self_signed()) {
+    verdict.category = CtIssuerCategory::kSelfContained;
+  } else if (stores_->classify_certificate(leaf) ==
+             truststore::IssuerClass::kPublicDb) {
+    verdict.category = CtIssuerCategory::kPublic;
+  } else {
+    verdict.category = CtIssuerCategory::kNonPublicHierarchical;
+  }
+  // Field-level lookup (the §4.2 "query CT and confirm" step): log data
+  // carries no key material, so matching goes by subject/issuer/serial/
+  // validity, exactly like contains_matching.
+  verdict.logged_matching = ct_logs_->logged_matching(leaf);
+  verdict.complies = ct_logs_->complies(leaf);
+  return verdict;
+}
+
 void CtComplianceAnalyzer::add(const ChainObservation& observation,
                                CtComplianceReport& into) const {
   const x509::Certificate& leaf = observation.chain.first();
+  std::optional<CtLeafVerdict>& memo = observation.verdicts(owner_).ct;
+  if (!memo) memo = leaf_verdict(leaf);
 
-  // Category precedence: a self-signed leaf is its own anchor regardless of
-  // what database its (self-)issuer name happens to sit in.
   CtComplianceBucket* bucket = nullptr;
-  if (leaf.is_self_signed()) {
-    bucket = &into.self_contained;
-  } else if (stores_->classify_certificate(leaf) ==
-             truststore::IssuerClass::kPublicDb) {
-    bucket = &into.public_db;
-  } else {
-    bucket = &into.non_public_hierarchical;
+  switch (memo->category) {
+    case CtIssuerCategory::kPublic: bucket = &into.public_db; break;
+    case CtIssuerCategory::kNonPublicHierarchical:
+      bucket = &into.non_public_hierarchical;
+      break;
+    case CtIssuerCategory::kSelfContained: bucket = &into.self_contained; break;
   }
-
   bucket->chains++;
   bucket->connections += observation.connections;
   bucket->sct_total += leaf.scts.size();
   if (!leaf.scts.empty()) bucket->with_scts++;
-  // Field-level lookup (the §4.2 "query CT and confirm" step): log data
-  // carries no key material, so matching goes by subject/issuer/serial/
-  // validity, exactly like contains_matching.
-  if (ct_logs_->logged_matching(leaf)) bucket->ct_logged++;
-  if (ct_logs_->complies(leaf)) bucket->policy_compliant++;
+  if (memo->logged_matching) bucket->ct_logged++;
+  if (memo->complies) bucket->policy_compliant++;
 }
 
 }  // namespace certchain::core

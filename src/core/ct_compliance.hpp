@@ -56,9 +56,12 @@ struct CtComplianceReport {
 
 class CtComplianceAnalyzer {
  public:
+  /// The leaf's category and log verdicts are memoized in each observation
+  /// under `owner` (DESIGN.md §16.7).
   CtComplianceAnalyzer(const truststore::TrustStoreSet& stores,
-                       const ct::CtLogSet& ct_logs)
-      : stores_(&stores), ct_logs_(&ct_logs) {}
+                       const ct::CtLogSet& ct_logs,
+                       VerdictOwner owner = next_verdict_owner())
+      : stores_(&stores), ct_logs_(&ct_logs), owner_(owner) {}
 
   /// Folds one unique-chain observation into `into`. The pipeline folds
   /// one report per chunk of unique chains and merges them with
@@ -66,8 +69,11 @@ class CtComplianceAnalyzer {
   void add(const ChainObservation& observation, CtComplianceReport& into) const;
 
  private:
+  CtLeafVerdict leaf_verdict(const x509::Certificate& leaf) const;
+
   const truststore::TrustStoreSet* stores_;
   const ct::CtLogSet* ct_logs_;
+  VerdictOwner owner_;
 };
 
 }  // namespace certchain::core

@@ -2,9 +2,6 @@
 
 namespace certchain::core {
 
-static_assert(kInvalidInternId == kInvalidDnId,
-              "find_canonical answers the interner's miss value");
-
 DnPool::Interned DnPool::intern_raw(std::string_view raw) {
   const InternId spelling = raw_spellings_.intern(raw);
   if (spelling < by_raw_id_.size()) return by_raw_id_[spelling];
@@ -26,18 +23,6 @@ DnPool::Interned DnPool::memo_raw(std::string_view raw) {
   variants_.push_back(
       std::make_unique<x509::DistinguishedName>(std::move(parsed)));
   return Interned{id, variants_.back().get()};
-}
-
-DnId DnPool::intern(const x509::DistinguishedName& name) {
-  const DnId id = canonicals_.intern(name.canonical());
-  if (id == entries_.size()) {
-    entries_.push_back(std::make_unique<x509::DistinguishedName>(name));
-  }
-  return id;
-}
-
-DnId DnPool::find_canonical(std::string_view canonical) const {
-  return canonicals_.find(canonical);
 }
 
 }  // namespace certchain::core

@@ -5,19 +5,13 @@
 // classification memoizes per id (truststore::IssuerClassifier) instead of
 // re-probing the trust stores with canonical strings.
 //
-// Two intern entry points:
-//
-//   intern(raw)    raw RFC 4514 bytes from a log field. A raw-bytes memo
-//                  (an Interner over the spellings) skips DN parsing
-//                  entirely when the same spelling recurs — the common
-//                  case, since X509 rows repeat a small set of issuers
-//                  thousands of times. A
-//                  malformed DN degrades to a single CN=<raw> RDN
-//                  (DistinguishedName::parse_lenient), exactly as the
-//                  poolless joiner parses it.
-//   intern(name)   an already-parsed DistinguishedName, keyed by its
-//                  canonical form. Canonical forms live in a second
-//                  Interner whose ids are the DnIds.
+// The one intern entry point takes raw RFC 4514 bytes from a log field. A
+// raw-bytes memo (an Interner over the spellings) skips DN parsing entirely
+// when the same spelling recurs — the common case, since X509 rows repeat a
+// small set of issuers thousands of times. A malformed DN degrades to a
+// single CN=<raw> RDN (DistinguishedName::parse_lenient), exactly as the
+// poolless joiner parses it. Canonical forms live in a second Interner whose
+// ids are the DnIds.
 //
 // zeek::LogJoiner is the one place the pipeline interns: every batch engine
 // (records, text, streamed) builds its joiner on the coordinator over the
@@ -64,9 +58,6 @@ class DnPool {
   /// spellings hit the raw-bytes memo and never touch the parser.
   DnId intern(std::string_view raw) { return intern_raw(raw).id; }
 
-  /// Interns an already-parsed DN by canonical form.
-  DnId intern(const x509::DistinguishedName& name);
-
   /// Raw-bytes intern returning both the id and the spelling's parse — the
   /// joiner's entry point (one hash lookup covers both).
   Interned intern_raw(std::string_view raw);
@@ -75,18 +66,6 @@ class DnPool {
   const x509::DistinguishedName& name_for_raw(std::string_view raw) {
     return *intern_raw(raw).name;
   }
-
-  /// Id for a canonical form already present, or kInvalidDnId.
-  DnId find_canonical(std::string_view canonical) const;
-
-  /// The first-interned DistinguishedName behind `id`.
-  const x509::DistinguishedName& name(DnId id) const { return *entries_[id]; }
-
-  /// Canonical form of `id`; a view into pool-owned storage.
-  std::string_view canonical(DnId id) const { return entries_[id]->canonical(); }
-
-  /// RFC 4514 display form of `id`.
-  std::string display(DnId id) const { return entries_[id]->to_string(); }
 
   std::size_t size() const { return entries_.size(); }
 

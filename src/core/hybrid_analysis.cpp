@@ -1,5 +1,6 @@
 #include "core/hybrid_analysis.hpp"
 
+#include <optional>
 #include <set>
 
 #include "util/strings.hpp"
@@ -140,12 +141,18 @@ HybridReport HybridAnalyzer::analyze(
   DistinctIds clients_public_leaf_no_issuer;
 
   for (const ChainObservation* observation : hybrid_chains) {
-    HybridChainRecord record;
-    record.observation = observation;
-    record.classification =
-        chain::classify_hybrid(observation->chain, *stores_, registry_);
-    const auto& cls = record.classification;
     const auto& chain = observation->chain;
+    std::optional<HybridVerdict>& verdict = observation->verdicts(owner_).hybrid;
+    if (!verdict) {
+      verdict.emplace();
+      verdict->classification = chain::classify_hybrid(chain, *stores_, registry_);
+      const chain::HybridClassification& fresh = verdict->classification;
+      if (fresh.structure == HybridStructure::kCompleteNonPubToPub) {
+        verdict->anchored_leaf_ct_logged = ct_logs_->logged_matching(
+            chain.at(fresh.paths.complete_path->begin));
+      }
+    }
+    const auto& cls = verdict->classification;
 
     switch (cls.structure) {
       case HybridStructure::kCompleteNonPubToPub: {
@@ -164,12 +171,8 @@ HybridReport HybridAnalyzer::analyze(
         ++anchored_counts[sector];
 
         // CT-logging compliance (§4.2).
-        record.leaf_ct_logged = ct_logs_->logged_matching(leaf);
-        if (record.leaf_ct_logged) ++report.anchored_ct_logged;
-        if (leaf.expired_at(observation->last_seen)) {
-          record.expired_leaf = true;
-          ++report.anchored_expired_leaf;
-        }
+        if (verdict->anchored_leaf_ct_logged) ++report.anchored_ct_logged;
+        if (leaf.expired_at(observation->last_seen)) ++report.anchored_expired_leaf;
         break;
       }
       case HybridStructure::kCompletePubToPrivate: {
@@ -218,7 +221,6 @@ HybridReport HybridAnalyzer::analyze(
         break;
       }
     }
-    report.records.push_back(std::move(record));
   }
 
   report.usage_complete.client_ips = clients_complete.size();

@@ -22,17 +22,6 @@
 
 namespace certchain::core {
 
-/// One analyzed hybrid chain.
-struct HybridChainRecord {
-  const ChainObservation* observation = nullptr;
-  chain::HybridClassification classification;
-  /// Leaf of the complete path was already expired when last observed.
-  bool expired_leaf = false;
-  /// Non-public leaf anchored to a public root is present in CT (§4.2
-  /// requires it; the paper found 100% compliance).
-  bool leaf_ct_logged = false;
-};
-
 /// Figure 4 cell label: which run a certificate belongs to and the issuer
 /// class mix of that run.
 struct StructureCell {
@@ -73,8 +62,6 @@ struct BucketUsage {
 };
 
 struct HybridReport {
-  std::vector<HybridChainRecord> records;
-
   // Table 3.
   std::size_t complete_nonpub_to_pub = 0;
   std::size_t complete_pub_to_private = 0;
@@ -116,13 +103,15 @@ class HybridAnalyzer {
  public:
   /// The Figure 4 issuer-class lookups go through one IssuerClassifier over
   /// `dn_pool` (may be null; DESIGN.md §16.4), so the report is
-  /// byte-identical with or without the pool.
+  /// byte-identical with or without the pool. Each chain's classify_hybrid
+  /// verdict and anchored-leaf CT bit are memoized under `owner` (§16.7).
   HybridAnalyzer(const truststore::TrustStoreSet& stores,
                  const ct::CtLogSet& ct_logs,
                  const chain::CrossSignRegistry* registry = nullptr,
-                 const core::DnPool* dn_pool = nullptr)
+                 const core::DnPool* dn_pool = nullptr,
+                 VerdictOwner owner = next_verdict_owner())
       : stores_(&stores), ct_logs_(&ct_logs), registry_(registry),
-        dn_pool_(dn_pool) {}
+        dn_pool_(dn_pool), owner_(owner) {}
 
   HybridReport analyze(const std::vector<const ChainObservation*>& hybrid_chains) const;
 
@@ -138,6 +127,7 @@ class HybridAnalyzer {
   const ct::CtLogSet* ct_logs_;
   const chain::CrossSignRegistry* registry_;
   const core::DnPool* dn_pool_;
+  VerdictOwner owner_;
 };
 
 }  // namespace certchain::core

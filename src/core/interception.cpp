@@ -64,19 +64,23 @@ struct DetectFold {
 /// The chunk loop body: evaluates one chain observation into the fold.
 void fold_observation(const InterceptionDetector& detector,
                       const VendorDirectory& directory,
-                      const Interner& sni_names,
+                      const Interner& sni_names, VerdictOwner owner,
                       const ChainObservation& observation, DetectFold& fold) {
   if (observation.chain.empty()) return;
-  // Evaluate against each observed SNI; the first confirming domain wins.
-  bool candidate = false;
-  for (const InternId domain : observation.domains) {
-    if (detector.is_interception_candidate(observation.chain,
-                                           sni_names.text(domain))) {
-      candidate = true;
-      break;
+  // Candidacy is "some observed SNI confirms", so it only has to be
+  // re-tested while it is false and the domain set has grown.
+  ChainVerdictMemo& memo = observation.verdicts(owner);
+  if (!memo.candidate && memo.candidacy_domains != observation.domains.size()) {
+    for (const InternId domain : observation.domains) {
+      if (detector.is_interception_candidate(observation.chain,
+                                             sni_names.text(domain))) {
+        memo.candidate = true;
+        break;
+      }
     }
+    memo.candidacy_domains = observation.domains.size();
   }
-  if (!candidate) return;
+  if (!memo.candidate) return;
 
   const x509::Certificate& leaf = observation.chain.first();
   const std::string& canonical = leaf.issuer.canonical();
@@ -174,7 +178,7 @@ InterceptionReport InterceptionDetector::detect(const CorpusIndex& corpus,
       [this, &folds, &observations, &corpus](std::size_t chunk,
                                              std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          fold_observation(*this, *directory_, corpus.sni_names(),
+          fold_observation(*this, *directory_, corpus.sni_names(), owner_,
                            *observations[i], folds[chunk]);
         }
       });

@@ -88,9 +88,14 @@ struct InterceptionReport {
 
 class InterceptionDetector {
  public:
+  /// Per-chain candidacy is memoized in each observation under `owner`
+  /// (DESIGN.md §16.7); the pipeline passes its own, so a re-analyzed corpus
+  /// re-tests only chains whose SNI set grew.
   InterceptionDetector(const truststore::TrustStoreSet& stores,
-                       const ct::CtLogSet& ct_logs, const VendorDirectory& directory)
-      : stores_(&stores), ct_logs_(&ct_logs), directory_(&directory) {}
+                       const ct::CtLogSet& ct_logs, const VendorDirectory& directory,
+                       VerdictOwner owner = next_verdict_owner())
+      : stores_(&stores), ct_logs_(&ct_logs), directory_(&directory),
+        owner_(owner) {}
 
   /// Runs detection over the deduplicated corpus. Chains are flagged via
   /// their observed SNI domains (read back through corpus.sni_names());
@@ -122,6 +127,7 @@ class InterceptionDetector {
   const truststore::TrustStoreSet* stores_;
   const ct::CtLogSet* ct_logs_;
   const VendorDirectory* directory_;
+  VerdictOwner owner_;
 };
 
 }  // namespace certchain::core

@@ -1,6 +1,7 @@
 #include "core/nonpublic_analysis.hpp"
 
 #include <cctype>
+#include <optional>
 
 #include "chain/matcher.hpp"
 
@@ -81,14 +82,19 @@ NonPublicReport NonPublicAnalyzer::analyze(
     }
 
     // Matched-path structure with the leaf test disabled (§4.3).
-    const chain::PathAnalysis analysis =
-        chain::analyze_paths(chain, registry_, /*require_leaf=*/false);
-    if (analysis.is_complete_path()) {
-      ++report.is_matched_path;
-    } else if (analysis.contains_complete_path()) {
-      ++report.contains_matched_path;
-    } else {
-      ++report.no_matched_path;
+    std::optional<MatchedPathShape>& shape =
+        observation->verdicts(owner_).non_public_paths;
+    if (!shape) {
+      const chain::PathAnalysis analysis =
+          chain::analyze_paths(chain, registry_, /*require_leaf=*/false);
+      shape = analysis.is_complete_path()         ? MatchedPathShape::kIsPath
+              : analysis.contains_complete_path() ? MatchedPathShape::kContainsPath
+                                                  : MatchedPathShape::kNoPath;
+    }
+    switch (*shape) {
+      case MatchedPathShape::kIsPath: ++report.is_matched_path; break;
+      case MatchedPathShape::kContainsPath: ++report.contains_matched_path; break;
+      case MatchedPathShape::kNoPath: ++report.no_matched_path; break;
     }
   }
 

@@ -96,14 +96,18 @@ bool is_dga_certificate(const x509::Certificate& cert);
 
 class NonPublicAnalyzer {
  public:
-  explicit NonPublicAnalyzer(const chain::CrossSignRegistry* registry = nullptr)
-      : registry_(registry) {}
+  /// Each multi-certificate chain's matched-path shape is memoized under
+  /// `owner` (DESIGN.md §16.7).
+  explicit NonPublicAnalyzer(const chain::CrossSignRegistry* registry = nullptr,
+                             VerdictOwner owner = next_verdict_owner())
+      : registry_(registry), owner_(owner) {}
 
   NonPublicReport analyze(std::string category_label,
                           const std::vector<const ChainObservation*>& chains) const;
 
  private:
   const chain::CrossSignRegistry* registry_;
+  VerdictOwner owner_;
 };
 
 }  // namespace certchain::core

@@ -14,6 +14,7 @@
 #include "core/pipeline.hpp"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/pipeline_detail.hpp"
@@ -133,11 +134,13 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
 
   // Stage 1: certificate enrichment — interception identification, chunked
   // over the unique chains (the issuer classification itself happens lazily
-  // via the trust-store set).
+  // via the trust-store set). Every stage memoizes its chain-intrinsic
+  // verdicts in the observations under memo_owner_ (DESIGN.md §16.7).
   chain::InterceptionIssuerSet interception_issuers;
   {
     auto timer = stage_timer(obs, "enrich");
-    const InterceptionDetector detector(*stores_, *ct_logs_, *vendors_);
+    const InterceptionDetector detector(*stores_, *ct_logs_, *vendors_,
+                                        memo_owner_);
     report.interception = detector.detect(corpus, pool);
     interception_issuers = report.interception.issuer_set();
   }
@@ -155,8 +158,8 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
   // Stage 2: chain categorization + usage statistics + Figure 1 data, as
   // per-chunk folds merged in range order — reproducing the whole-range fold
   // exactly, including slice vector order (what the structure stage
-  // iterates). Classification is a memo load for pooled certificates and a
-  // canonical-string probe otherwise, with identical verdicts.
+  // iterates). A chain's issuer-class mix is memoized (§16.7); only the
+  // interception-set test runs against this generation's set.
   detail::CategorySlices slices;
   {
     auto timer = stage_timer(obs, "categorize");
@@ -172,10 +175,18 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
           // read-only.
           truststore::IssuerClassifier classifier(*stores_, dn_pool);
           for (std::size_t i = begin; i < end; ++i) {
-            folds[chunk].add(*observations[i],
-                             chain::categorize_chain(observations[i]->chain,
-                                                     classifier,
-                                                     interception_issuers));
+            const ChainObservation& observation = *observations[i];
+            std::optional<ChainCategory>& class_mix =
+                observation.verdicts(memo_owner_).class_mix;
+            if (!class_mix) {
+              class_mix =
+                  chain::issuer_class_category(observation.chain, classifier);
+            }
+            folds[chunk].add(observation,
+                             chain::has_interception_issuer(
+                                 observation.chain, interception_issuers)
+                                 ? ChainCategory::kTlsInterception
+                                 : *class_mix);
           }
           wall[chunk] = watch.elapsed_ms();
         });
@@ -198,8 +209,9 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
       &slices[ChainCategory::kHybrid], &slices[ChainCategory::kNonPublicDbOnly],
       &slices[ChainCategory::kTlsInterception]};
 
-  // Stage 3: the per-category structure analyzers are independent const
-  // computations over disjoint slices — one chunk each.
+  // Stage 3: the per-category structure analyzers are independent
+  // computations over disjoint slices — one chunk each, so each chunk writes
+  // only its own slice's verdict memos.
   {
     auto timer = stage_timer(obs, "structure");
     std::vector<double> wall(3, 0.0);
@@ -213,15 +225,15 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
           if (chunk == 0) {
             // The analyzer builds its own per-call classifier, so the shared
             // pool is read-only here and safe alongside the other chunks.
-            report.hybrid =
-                HybridAnalyzer(*stores_, *ct_logs_, registry_, dn_pool)
-                    .analyze(slice);
+            report.hybrid = HybridAnalyzer(*stores_, *ct_logs_, registry_,
+                                           dn_pool, memo_owner_)
+                                .analyze(slice);
           } else if (chunk == 1) {
-            report.non_public =
-                NonPublicAnalyzer(registry_).analyze("Non-public-DB-only", slice);
+            report.non_public = NonPublicAnalyzer(registry_, memo_owner_)
+                                    .analyze("Non-public-DB-only", slice);
           } else {
-            report.interception_chains =
-                NonPublicAnalyzer(registry_).analyze("TLS interception", slice);
+            report.interception_chains = NonPublicAnalyzer(registry_, memo_owner_)
+                                             .analyze("TLS interception", slice);
           }
           wall[chunk] = watch.elapsed_ms();
         });
@@ -244,8 +256,8 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
         pool, 3, 3,
         [this, &graphs, &category_slices, dn_pool](std::size_t chunk,
                                                    std::size_t, std::size_t) {
-          *graphs[chunk] =
-              build_pki_graph(*category_slices[chunk], *stores_, dn_pool);
+          *graphs[chunk] = build_pki_graph(*category_slices[chunk], *stores_,
+                                           dn_pool, memo_owner_);
         });
   }
   publish_stage(obs, "graphs", structure_in, structure_in, 0);
@@ -255,7 +267,7 @@ StudyReport StudyPipeline::analyze_corpus(par::ThreadPool* pool,
   // chunked like categorization; per-chunk reports merge additively.
   {
     auto timer = stage_timer(obs, "ct_compliance");
-    const CtComplianceAnalyzer ct_analyzer(*stores_, *ct_logs_);
+    const CtComplianceAnalyzer ct_analyzer(*stores_, *ct_logs_, memo_owner_);
     std::vector<CtComplianceReport> partials(chunks);
     std::vector<double> wall(chunks, 0.0);
     par::parallel_for_chunks(

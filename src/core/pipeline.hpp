@@ -98,6 +98,10 @@ struct StudyReport {
 
 class StudyPipeline {
  public:
+  /// The referenced databases must outlive the pipeline and stay unchanged
+  /// while it re-analyzes a corpus: the chain verdicts a run memoizes in the
+  /// corpus (DESIGN.md §16.7) are stamped with this pipeline's owner id, not
+  /// with the databases' contents.
   StudyPipeline(const truststore::TrustStoreSet& stores, const ct::CtLogSet& ct_logs,
                 const VendorDirectory& vendors,
                 const chain::CrossSignRegistry* registry = nullptr)
@@ -142,6 +146,12 @@ class StudyPipeline {
   /// pool the corpus certificates' ids came from (the joiner's), or null:
   /// issuer classification then memoizes per DnId or takes the canonical-
   /// string path, with identical verdicts either way (DESIGN.md §16.4).
+  ///
+  /// The chain-intrinsic verdicts are read from, or filled into, each
+  /// observation's verdict memo (DESIGN.md §16.7), so re-analyzing a corpus
+  /// after an append re-derives only what the append changed. The memo is
+  /// the one thing analyze writes: do not analyze one corpus from two
+  /// threads at once.
   StudyReport analyze(const CorpusIndex& corpus, obs::RunContext* obs = nullptr,
                       const DnPool* dn_pool = nullptr) const;
 
@@ -182,6 +192,9 @@ class StudyPipeline {
   const ct::CtLogSet* ct_logs_;
   const VendorDirectory* vendors_;
   const chain::CrossSignRegistry* registry_;
+  /// Stamps the verdict memos this pipeline fills. Copies share it: they
+  /// reference the same databases.
+  VerdictOwner memo_owner_ = next_verdict_owner();
 };
 
 }  // namespace certchain::core

@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/corpus.hpp"
@@ -36,17 +36,16 @@ struct PkiGraphNode {
 
 class PkiGraph {
  public:
+  /// A node-index pair.
+  using Edge = std::pair<std::size_t, std::size_t>;
+
   const std::vector<PkiGraphNode>& nodes() const { return nodes_; }
   /// Undirected co-occurrence edges (Figure 5 semantics), as index pairs
-  /// with first < second.
-  const std::set<std::pair<std::size_t, std::size_t>>& co_occurrence_edges() const {
-    return co_edges_;
-  }
+  /// with first < second; sorted, duplicate-free.
+  const std::vector<Edge>& co_occurrence_edges() const { return co_edges_; }
   /// Directed issuance links: (lower, upper) for each matched adjacent pair
-  /// ever observed (Figures 7/8 semantics).
-  const std::set<std::pair<std::size_t, std::size_t>>& issuance_links() const {
-    return links_;
-  }
+  /// ever observed (Figures 7/8 semantics); sorted, duplicate-free.
+  const std::vector<Edge>& issuance_links() const { return links_; }
 
   std::size_t node_count() const { return nodes_.size(); }
 
@@ -66,22 +65,15 @@ class PkiGraph {
   std::size_t issuance_degree(std::size_t index) const;
 
   /// Chains longer than this contribute issuance links but no co-occurrence
-  /// edges (all-pairs is quadratic; see note_chain).
+  /// edges (all-pairs is quadratic).
   static constexpr std::size_t kMaxCoOccurrenceChain = 64;
 
-  // Construction API (used by build_pki_graph). The issuer class comes from
-  // `classifier` (a DnId memo load for pooled certificates, §16.4).
-  std::size_t intern_node(const x509::Certificate& cert,
-                          truststore::IssuerClassifier& classifier);
-  void note_chain(const std::vector<std::size_t>& node_indices,
-                  const std::vector<bool>& pair_matched);
-  void promote_role(std::size_t index, CertRole role);
-
  private:
+  friend class PkiGraphBuilder;  // build_pki_graph's accumulator
+
   std::vector<PkiGraphNode> nodes_;
-  std::map<std::string, std::size_t, std::less<>> by_fingerprint_;
-  std::set<std::pair<std::size_t, std::size_t>> co_edges_;
-  std::set<std::pair<std::size_t, std::size_t>> links_;
+  std::vector<Edge> co_edges_;
+  std::vector<Edge> links_;
 };
 
 /// Builds the graph over a slice of the corpus. Roles are inferred: a
@@ -91,10 +83,13 @@ class PkiGraph {
 /// than `max_length` are excluded entirely (the Figure 1 outlier chains
 /// would otherwise flood the graph with thousands of junk nodes). Issuer
 /// classification goes through one IssuerClassifier over `dn_pool` (may be
-/// null), so graphs are byte-identical with or without the pool.
+/// null), so graphs are byte-identical with or without the pool. Each
+/// chain's per-certificate node inputs (issuer class, role evidence,
+/// matched pairs) are memoized under `owner` (DESIGN.md §16.7).
 PkiGraph build_pki_graph(const std::vector<const ChainObservation*>& chains,
                          const truststore::TrustStoreSet& stores,
                          const core::DnPool* dn_pool = nullptr,
+                         VerdictOwner owner = next_verdict_owner(),
                          std::size_t max_length = 30);
 
 }  // namespace certchain::core

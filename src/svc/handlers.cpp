@@ -290,7 +290,7 @@ std::string RequestHandlers::dispatch(const Frame& request,
           return encode_error(ErrorCode::kBadPayload,
                               "unknown report section \"" + name + "\"");
         }
-        text = core::render_report_text(snapshot->report, *options);
+        text = core::render_report_text(*snapshot->report, *options);
       }
       writer.begin_object();
       writer.key("section");

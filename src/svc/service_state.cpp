@@ -247,7 +247,7 @@ ChainVerdict ServiceState::categorize_chain(
 std::string ServiceState::report_section(
     const core::ReportTextOptions& options) const {
   const SnapshotPtr snapshot = acquire_snapshot();
-  return core::render_report_text(snapshot->report, options);
+  return core::render_report_text(*snapshot->report, options);
 }
 
 AppendResult ServiceState::ingest_append(
@@ -308,8 +308,8 @@ void ServiceState::record_fleet_epoch(core::EpochSummary summary) {
   }
 
   // The corpus did not change (the epoch's rows were already folded via
-  // ingest_append), so the next snapshot is a copy of the current one with
-  // the updated epoch registry — no re-analysis.
+  // ingest_append), so the next snapshot shares the current report and
+  // carries the updated epoch registry — no re-analysis, no report copy.
   auto next = std::make_unique<AnalysisSnapshot>(*acquire_snapshot());
   next->fleet_epochs = fleet_epochs_;
   SnapshotPtr published(
@@ -364,8 +364,9 @@ ct::Monitor& ServiceState::arm_ct_monitor(const ct::MonitorConfig& config,
 void ServiceState::publish_analysis_locked() {
   // Build the whole next generation off to the side...
   auto next = std::make_unique<AnalysisSnapshot>();
-  next->report = pipeline_.analyze(corpus_, nullptr, &dn_pool_);
-  next->interception_issuers = next->report.interception.issuer_set();
+  next->report = std::make_shared<const core::StudyReport>(
+      pipeline_.analyze(corpus_, nullptr, &dn_pool_));
+  next->interception_issuers = next->report->interception.issuer_set();
   next->generation = generation_;
   next->unique_chains = corpus_.unique_chain_count();
   next->totals = corpus_.totals();

@@ -110,7 +110,9 @@ struct RecoveryStats {
 /// holding one can render from it for as long as it likes while newer
 /// generations come and go.
 struct AnalysisSnapshot {
-  core::StudyReport report;
+  /// Shared, not copied, by a republication that leaves the corpus alone
+  /// (record_fleet_epoch).
+  std::shared_ptr<const core::StudyReport> report;
   chain::InterceptionIssuerSet interception_issuers;
   std::uint64_t generation = 0;
   std::size_t unique_chains = 0;

@@ -61,7 +61,7 @@ TEST_F(PipelineUnitTest, EmptyInputsProduceEmptyReport) {
   EXPECT_EQ(report.unique_chains, 0u);
   EXPECT_EQ(report.totals.connections, 0u);
   EXPECT_TRUE(report.categories.empty());
-  EXPECT_TRUE(report.hybrid.records.empty());
+  EXPECT_EQ(report.hybrid.total(), 0u);
 }
 
 TEST_F(PipelineUnitTest, CategorizesMixedMiniCorpus) {
